@@ -4,14 +4,12 @@
    output, the estimates are written to BENCH_results.json so the perf
    trajectory is machine-checkable across PRs.
 
-   Run with:  dune exec bench/main.exe -- [--jobs N] [--search-jobs N]
+   Run with:  dune exec bench/main.exe -- [--jobs N]
    Environment:
      PIPESCHED_STUDY_COUNT   blocks in the main study (default 16000)
      PIPESCHED_BENCH_QUOTA   seconds per micro-benchmark (default 0.5)
      PIPESCHED_JOBS          worker domains for the study (default: the
-                             recommended domain count; --jobs wins)
-     PIPESCHED_SEARCH_JOBS   worker domains inside each optimal search
-                             (default 1; --search-jobs wins) *)
+                             recommended domain count; --jobs wins) *)
 
 (* Alias before [open Toolkit], which shadows [Monotonic_clock] with the
    bechamel measure of the same name. *)
@@ -55,14 +53,12 @@ let dag20 = dag_of 20
 let dag30 = dag_of 30
 let dag11 = dag_of 11
 
-(* Hard block for the intra-search parallel speedup evidence: 8 mutually
-   independent multiplies interleaved with 6 independent loads.  Wide
-   independent blocks are the hard case for the search — the free-slot
+(* The portfolio's cp-favoured hard block: 8 mutually independent
+   multiplies interleaved with 6 independent loads.  Wide independent
+   blocks are the hard case for the branch-and-bound — the free-slot
    equivalence pruning cannot collapse piped instructions, so the tree
-   is genuinely large — yet this one still completes, which the evidence
-   needs (identical results at every job count are only guaranteed for
-   completed searches). *)
-let parallel_hard_dag =
+   is genuinely large — while cp proves it in well under a millisecond. *)
+let cp_favoured_weave_dag =
   let mul i id = Tuple.make ~id Op.Mul (Operand.Imm i) (Operand.Imm (i + 1)) in
   let load j id =
     Tuple.make ~id Op.Load (Operand.Var (Printf.sprintf "v%d" j)) Operand.Null
@@ -87,14 +83,12 @@ let parallel_hard_dag =
 
 (* The unseeded search (Source_order) has to discover the optimum on its
    own, which is what makes the incumbent sharing measurable; lambda is
-   set well above the ~8M calls the serial search needs so every job
-   count completes and therefore reports the identical schedule. *)
-let parallel_hard_options jobs =
+   set well above the ~8M calls the branch-and-bound needs, so it
+   completes. *)
+let cp_favoured_weave_options =
   { Optimal.default_options with
     Optimal.lambda = 30_000_000;
-    Optimal.seed = List_sched.Source_order;
-    Optimal.parallel_activation = 256;
-    Optimal.search_jobs = jobs }
+    Optimal.seed = List_sched.Source_order }
 
 let order15 = List_sched.schedule List_sched.Max_distance dag15
 
@@ -346,47 +340,6 @@ let deadline_evidence () =
            let o = Windowed.schedule ~options ~window:20 machine hard_dag in
            (o.Windowed.status, o.Windowed.best.Omega.nops))) ] )
 
-(* Intra-search parallel speedup: the committed hard block scheduled at
-   search-jobs 1/2/4, wall-clock best of two runs each.  A completed
-   parallel search reports the same schedule as the serial one (the
-   incumbent join is deterministic), so the evidence also asserts the
-   results are byte-identical across job counts. *)
-let search_speedup_evidence () =
-  let run jobs =
-    let wall = ref infinity in
-    let result = ref None in
-    for _rep = 1 to 2 do
-      let t0 = Mclock.now () in
-      let r =
-        Optimal.schedule
-          ~options:(parallel_hard_options jobs)
-          machine parallel_hard_dag
-      in
-      let s = Int64.to_float (Int64.sub (Mclock.now ()) t0) /. 1e9 in
-      if s < !wall then wall := s;
-      result := Some r
-    done;
-    (Option.get !result, !wall)
-  in
-  let entries = List.map (fun jobs -> (jobs, run jobs)) [ 1; 2; 4 ] in
-  let serial, _ = List.assoc 1 entries in
-  let identical =
-    List.for_all
-      (fun (_, ((r : Optimal.outcome), _)) ->
-        r.Optimal.stats.Optimal.completed
-        && r.Optimal.best = serial.Optimal.best)
-      entries
-  in
-  if not identical then
-    failwith "parallel search disagreed with serial on the hard block";
-  List.iter
-    (fun (jobs, ((r : Optimal.outcome), wall)) ->
-      Printf.printf
-        "Search speedup: jobs=%d wall=%.3fs nops=%d omega-calls=%d\n%!" jobs
-        wall r.Optimal.best.Omega.nops r.Optimal.stats.Optimal.omega_calls)
-    entries;
-  (entries, identical)
-
 (* Portfolio evidence (DESIGN.md §14), two claims:
 
    (1) Corpus race: both exact backends over a seeded mixed corpus
@@ -480,8 +433,8 @@ let portfolio_evidence () =
   in
   let hard_pair =
     [
-      ("weave-mul8-load6-n14", machine, parallel_hard_dag,
-       parallel_hard_options 1);
+      ("weave-mul8-load6-n14", machine, cp_favoured_weave_dag,
+       cp_favoured_weave_options);
       (let s = 28 in
        ( Printf.sprintf "gen-seed-%d-n26" s,
          Generator.random_machine (Rng.create (s * 7919)),
@@ -996,7 +949,6 @@ let write_results_json ~path ~jobs ~study_count ~study_failures ~study_wall_s
     ~study_dedup estimates =
   let memo_on, memo_off = memo_evidence () in
   let deadline_s, deadline_entries = deadline_evidence () in
-  let speedup_entries, speedup_identical = search_speedup_evidence () in
   let server = server_evidence () in
   let server_load = server_load_evidence () in
   (* The portfolio corpus race spawns hundreds of short-lived domains
@@ -1082,19 +1034,6 @@ let write_results_json ~path ~jobs ~study_count ~study_failures ~study_wall_s
         nops wall_s)
     deadline_entries;
   p " },\n";
-  let wall_of jobs = snd (List.assoc jobs speedup_entries) in
-  p
-    "  \"search_speedup\": { \"block\": \"mul8-load6-interleaved-n14\", \
-     \"lambda\": 30000000, \"identical_results\": %b"
-    speedup_identical;
-  List.iter
-    (fun (jobs, ((r : Optimal.outcome), wall)) ->
-      p ", \"j%d\": { \"wall_s\": %.6f, \"nops\": %d, \"omega_calls\": %d }"
-        jobs wall r.Optimal.best.Omega.nops
-        r.Optimal.stats.Optimal.omega_calls)
-    speedup_entries;
-  p ", \"speedup_j2\": %.3f, \"speedup_j4\": %.3f },\n"
-    (wall_of 1 /. wall_of 2) (wall_of 1 /. wall_of 4);
   p "  \"benchmarks\": {\n";
   List.iteri
     (fun i (name, est) ->
@@ -1112,29 +1051,21 @@ let () =
      benchmarks. *)
   Harness.Mega.run_if_worker ();
   (* Larger per-domain minor heaps (4M words = 32 MB): a minor collection
-     in OCaml 5 is a stop-the-world barrier across every domain, so at
-     search-jobs > 1 collection frequency is directly wall-clock.  Set
-     before any domain spawns; applies identically at every job count,
-     so the speedup comparison stays fair. *)
+     in OCaml 5 is a stop-the-world barrier across every domain, so with
+     several domains running (the study at --jobs > 1, the portfolio's
+     race) collection frequency is directly wall-clock.  Set before any
+     domain spawns; applies identically at every job count. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
   let jobs_flag = ref 0 in
-  let search_jobs_flag = ref 0 in
   Arg.parse
     [ ("--jobs", Arg.Set_int jobs_flag,
        "N  worker domains for the study (default: PIPESCHED_JOBS or the \
-        recommended domain count)");
-      ("--search-jobs", Arg.Set_int search_jobs_flag,
-       "N  worker domains inside each optimal search (default: \
-        PIPESCHED_SEARCH_JOBS or 1)") ]
+        recommended domain count)") ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "dune exec bench/main.exe -- [--jobs N] [--search-jobs N]";
+    "dune exec bench/main.exe -- [--jobs N]";
   let jobs =
     if !jobs_flag > 0 then !jobs_flag
     else Pipesched_parallel.Pool.default_jobs ()
-  in
-  let search_jobs =
-    Pipesched_parallel.Pool.resolve_search_jobs
-      (if !search_jobs_flag > 0 then Some !search_jobs_flag else None)
   in
   let estimates = run_benchmarks () in
   let count =
@@ -1145,19 +1076,18 @@ let () =
   (* The headline wall-clock number: the §5.3 study, timed with the
      monotonic clock, on [jobs] domains. *)
   let t0 = Mclock.now () in
-  let study = Harness.Experiments.run_study ~count ~jobs ~search_jobs () in
+  let study = Harness.Experiments.run_study ~count ~jobs () in
   let t1 = Mclock.now () in
   let study_wall_s = Int64.to_float (Int64.sub t1 t0) /. 1e9 in
   let study_failures = List.length (Harness.Study.failures study) in
   Printf.printf
     "Study: scheduled %d blocks (%d contained failures) in %.2f s on %d \
-     domain%s (search-jobs %d)\n%!"
+     domain%s\n%!"
     count study_failures study_wall_s jobs
-    (if jobs = 1 then "" else "s")
-    search_jobs;
+    (if jobs = 1 then "" else "s");
   write_results_json ~path:"BENCH_results.json" ~jobs ~study_count:count
     ~study_failures ~study_wall_s
     ~study_dedup:(Harness.Study.dedup_stats study)
     estimates;
-  Harness.Experiments.run_all ~count ~jobs ~search_jobs ~study
+  Harness.Experiments.run_all ~count ~jobs ~study
     Format.std_formatter

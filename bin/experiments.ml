@@ -47,7 +47,7 @@ let mega_heartbeat () =
         p.Mega.shards
     end
 
-let run_mega ~count ~seed ~lambda ~jobs ~search_jobs ~certify ~shards
+let run_mega ~count ~seed ~lambda ~jobs ~certify ~shards
     ~checkpoint_every ~checkpoint_dir ~resume ~progress ~mega_out
     ~dedup_capacity =
   let cfg =
@@ -57,7 +57,6 @@ let run_mega ~count ~seed ~lambda ~jobs ~search_jobs ~certify ~shards
       count;
       shards;
       jobs = (match jobs with None -> 1 | Some j -> max 1 j);
-      search_jobs;
       lambda;
       dedup_capacity;
       checkpoint_every;
@@ -90,7 +89,7 @@ let run_mega ~count ~seed ~lambda ~jobs ~search_jobs ~certify ~shards
     0
 
 let run count seed quick lambda deadline_ms block_deadline_ms strong no_memo
-    memo_capacity jobs search_jobs strict certify backend mega shards
+    memo_capacity jobs strict certify backend mega shards
     checkpoint_every checkpoint_dir resume progress mega_out dedup_capacity
     only =
   if Pipesched_core.Scheduler.find backend = None then begin
@@ -100,11 +99,6 @@ let run count seed quick lambda deadline_ms block_deadline_ms strong no_memo
   end;
   let count = if quick then min count 1_000 else count in
   let jobs = if jobs <= 0 then None else Some jobs in
-  let search_jobs =
-    Some
-      (Pipesched_parallel.Pool.resolve_search_jobs
-         (if search_jobs <= 0 then None else Some search_jobs))
-  in
   let to_s ms = Option.map (fun m -> float_of_int m /. 1000.0) ms in
   let deadline_s = to_s deadline_ms in
   let block_deadline_s = to_s block_deadline_ms in
@@ -114,18 +108,16 @@ let run count seed quick lambda deadline_ms block_deadline_ms strong no_memo
       Pipesched_core.Optimal.memo_capacity }
   in
   if mega > 0 then
-    run_mega ~count:mega ~seed ~lambda ~jobs
-      ~search_jobs:(match search_jobs with Some j -> j | None -> 1)
-      ~certify ~shards ~checkpoint_every ~checkpoint_dir ~resume ~progress
-      ~mega_out ~dedup_capacity
+    run_mega ~count:mega ~seed ~lambda ~jobs ~certify ~shards
+      ~checkpoint_every ~checkpoint_dir ~resume ~progress ~mega_out
+      ~dedup_capacity
   else begin
   let progress = if progress then Some (study_heartbeat ()) else None in
   let fmt = Format.std_formatter in
   (match only with
    | [] ->
      E.run_all ~seed ~count ~lambda ~strong ~memo ?deadline_s
-       ?block_deadline_s ?jobs ?search_jobs ~strict ~certify ~backend
-       ?progress fmt
+       ?block_deadline_s ?jobs ~strict ~certify ~backend ?progress fmt
    | wanted ->
      List.iter
        (fun section ->
@@ -138,8 +130,7 @@ let run count seed quick lambda deadline_ms block_deadline_ms strong no_memo
      let study =
        lazy
          (E.run_study ~seed ~count ~lambda ~strong ~memo ?deadline_s
-            ?block_deadline_s ?jobs ?search_jobs ~strict ~certify ~backend
-            ?progress ())
+            ?block_deadline_s ?jobs ~strict ~certify ~backend ?progress ())
      in
      List.iter
        (fun section ->
@@ -247,21 +238,6 @@ let jobs =
   in
   Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~doc)
 
-let search_jobs =
-  let doc =
-    "Worker domains $(i,inside each block's) branch-and-bound search \
-     (two-level scheme; 0 = auto: \\$(b,PIPESCHED_SEARCH_JOBS) or 1, the \
-     serial search).  The reported schedules and NOP counts are \
-     identical at any value; only wall-clock time and the exploration \
-     counters change."
-  in
-  Arg.(
-    value
-    & opt int 0
-    & info [ "search-jobs" ]
-        ~env:(Cmd.Env.info "PIPESCHED_SEARCH_JOBS")
-        ~doc)
-
 let strict =
   let doc =
     "Fail fast: let the first per-block exception in the main study kill \
@@ -294,8 +270,8 @@ let mega =
      constant-memory aggregate, with checkpoint/resume (see \
      $(b,--shards), $(b,--checkpoint-every), $(b,--resume)).  The \
      aggregate is byte-identical at any $(b,--shards)/$(b,--jobs).  \
-     $(b,--seed), $(b,--lambda), $(b,--jobs), $(b,--search-jobs) and \
-     $(b,--certify) apply; 0 (the default) disables mega mode."
+     $(b,--seed), $(b,--lambda), $(b,--jobs) and $(b,--certify) apply; \
+     0 (the default) disables mega mode."
   in
   Arg.(value & opt int 0 & info [ "mega" ] ~doc ~docv:"BLOCKS")
 
@@ -365,7 +341,7 @@ let cmd =
     Term.(
       const run $ count $ seed $ quick $ lambda $ deadline_ms
       $ block_deadline_ms $ strong $ no_memo $ memo_capacity $ jobs
-      $ search_jobs $ strict $ certify $ backend $ mega $ shards $ checkpoint_every
+      $ strict $ certify $ backend $ mega $ shards $ checkpoint_every
       $ checkpoint_dir $ resume $ progress $ mega_out $ dedup_capacity
       $ only)
 

@@ -20,24 +20,14 @@ module Certify = Pipesched_verify.Certify
 (* ------------------------------------------------------------------ *)
 (* One case: run every scheduler and collect labelled violations.      *)
 
-let run_case ~lambda ~search_jobs machine blk =
+let run_case ~lambda machine blk =
   let violations = ref [] in
   let add label vs =
     List.iter (fun v -> violations := (label, Certify.explain v) :: !violations) vs
   in
   (try
      let dag = Dag.of_block blk in
-     let options =
-       { Optimal.default_options with
-         Optimal.lambda;
-         Optimal.search_jobs;
-         (* Escalate early so the parallel machinery actually gets
-            fuzzed on moderately hard cases, not just pathological
-            ones. *)
-         Optimal.parallel_activation =
-           (if search_jobs > 1 then 64
-            else Optimal.default_options.Optimal.parallel_activation) }
-     in
+     let options = { Optimal.default_options with Optimal.lambda } in
      let certify label (r : Omega.result) =
        add label (Certify.check machine blk r);
        add (label ^ " semantics") (Certify.check_semantics blk ~order:r.Omega.order)
@@ -274,11 +264,7 @@ let write_repro ~dir ~master_seed ~cases ~case ~case_seed machine blk shrunk
 
 (* ------------------------------------------------------------------ *)
 
-let run seed cases lambda search_jobs machines backend out =
-  let search_jobs =
-    Pipesched_parallel.Pool.resolve_search_jobs
-      (if search_jobs <= 0 then None else Some search_jobs)
-  in
+let run seed cases lambda machines backend out =
   (match backend with
    | "all" -> ()
    | name when Scheduler.find name <> None -> ()
@@ -288,7 +274,7 @@ let run seed cases lambda search_jobs machines backend out =
      exit 2);
   let run_case =
     match backend with
-    | "all" -> run_case ~lambda ~search_jobs
+    | "all" -> run_case ~lambda
     | name -> run_case_backend ~lambda ~backend:name
   in
   let master = Rng.create seed in
@@ -399,17 +385,6 @@ let lambda =
     value & opt int 10_000
     & info [ "lambda" ] ~doc:"Curtail point per search (max Omega calls).")
 
-let search_jobs =
-  Arg.(
-    value & opt int 0
-    & info [ "search-jobs" ]
-        ~env:(Cmd.Env.info "PIPESCHED_SEARCH_JOBS")
-        ~doc:
-          "Worker domains inside each optimal search (0 = auto: \
-           \\$(b,PIPESCHED_SEARCH_JOBS) or 1).  At > 1 the parallel \
-           branch-and-bound path is exercised (with an early escalation \
-           threshold) and its results certified like any other.")
-
 let machines =
   Arg.(
     value & opt int 0
@@ -449,7 +424,6 @@ let cmd =
          "differentially fuzz every scheduler against the independent \
           certifier")
     Term.(
-      const run $ seed $ cases $ lambda $ search_jobs $ machines $ backend
-      $ out)
+      const run $ seed $ cases $ lambda $ machines $ backend $ out)
 
 let () = exit (Cmd.eval' cmd)

@@ -66,7 +66,7 @@ let read_input file expr =
   | Some f, _ -> In_channel.with_open_text f In_channel.input_all
 
 let run file expr machine machine_file sched backend lambda deadline_ms
-    no_memo memo_capacity search_jobs registers optimize tuples_in certify
+    no_memo memo_capacity registers optimize tuples_in certify
     show_tuples show_asm show_tables show_timeline show_dot show_explain =
   try
     let backend_module =
@@ -87,10 +87,7 @@ let run file expr machine machine_file sched backend lambda deadline_ms
         Optimal.memo =
           { Optimal.default_memo with
             Optimal.memo_enabled = not no_memo;
-            Optimal.memo_capacity };
-        Optimal.search_jobs =
-          Pipesched_parallel.Pool.resolve_search_jobs
-            (if search_jobs <= 0 then None else Some search_jobs) }
+            Optimal.memo_capacity } }
     in
     let machine =
       match machine_file with
@@ -377,17 +374,6 @@ let memo_capacity =
           "Capacity (entries, rounded up to a power of two) of the \
            dominance memo table.")
 
-let search_jobs =
-  Arg.(
-    value & opt int 0
-    & info [ "search-jobs" ]
-        ~env:(Cmd.Env.info "PIPESCHED_SEARCH_JOBS")
-        ~doc:
-          "Worker domains for the branch-and-bound search itself (0 = \
-           auto: \\$(b,PIPESCHED_SEARCH_JOBS) or 1, the serial search).  \
-           The schedule and NOP count are identical at any value; only \
-           wall-clock time and the search counters change.")
-
 let registers =
   Arg.(
     value & opt int 16
@@ -440,8 +426,8 @@ let cmd =
        ~doc:"optimally schedule a basic block for pipelined machines")
     Term.(
       const run $ file $ expr $ machine $ machine_file $ sched $ backend
-      $ lambda $ deadline_ms $ no_memo $ memo_capacity $ search_jobs
-      $ registers $ optimize $ tuples_in $ certify $ show_tuples $ show_asm
-      $ show_tables $ show_timeline $ show_dot $ show_explain)
+      $ lambda $ deadline_ms $ no_memo $ memo_capacity $ registers
+      $ optimize $ tuples_in $ certify $ show_tuples $ show_asm $ show_tables
+      $ show_timeline $ show_dot $ show_explain)
 
 let () = exit (Cmd.eval' cmd)

@@ -4,7 +4,6 @@ open Pipesched_sched
 module Budget = Pipesched_prelude.Budget
 module Incumbent = Pipesched_prelude.Incumbent
 module Memo_table = Pipesched_prelude.Memo_table
-module Pool = Pipesched_parallel.Pool
 
 type lower_bound = Partial_nops | Critical_path
 
@@ -24,8 +23,6 @@ type options = {
   alpha_beta : bool;
   lower_bound : lower_bound;
   memo : memo_options;
-  search_jobs : int;
-  parallel_activation : int;
 }
 
 let default_memo =
@@ -42,8 +39,6 @@ let default_options =
     alpha_beta = true;
     lower_bound = Partial_nops;
     memo = default_memo;
-    search_jobs = 1;
-    parallel_activation = 4_096;
   }
 
 type stats = {
@@ -102,10 +97,6 @@ type search_env = {
   sched_set : Pipesched_prelude.Bitset.t;
   fp : int array;
   mutable memo_tbl : Memo_table.t option;
-  (* Where an activated table is parked between searches: a parallel
-     worker passes the same ref to every task's env, so the (cleared)
-     table allocation is reused instead of re-created per subtree. *)
-  memo_cache : Memo_table.t option ref;
   mutable memo_hits : int;
   mutable memo_misses : int;
   (* Critical-path-bound scratch, preallocated so the bound is not
@@ -115,12 +106,9 @@ type search_env = {
   cp_remaining : int array;
   cp_bound : int array;
   budget : Budget.t;
-  (* Parallel search: the shared incumbent's atomic bound and this
-     searcher's rank in the lexicographic task order ([-1] for the
-     serial probe; [None]/[-1] for a plain serial search, which then
-     behaves exactly as before). *)
-  inc_gate : Incumbent.gate option;
-  task_index : int;
+  (* The portfolio's shared incumbent: its atomic bound and this
+     searcher's rank in it ([None] for a standalone search). *)
+  shared : (Incumbent.gate * int) option;
   mutable omega_calls : int;
   mutable schedules_completed : int;
   mutable improvements : int;
@@ -129,12 +117,8 @@ type search_env = {
 
 (* [multi]: the search may choose among candidate pipelines, so only
    single-candidate operations may be charged to a pipe in the resource
-   bound; the single-pipe search pins every operation to its default.
-   [budget]/[memo_cache]/[gate]/[task_index] let the parallel driver give
-   each worker env a pool-carved budget, a reusable memo table slot, and
-   the shared incumbent; omitted, the env is a plain serial one. *)
-let make_env ?entry ?(multi = false) ?budget ?memo_cache ?gate
-    ?(task_index = -1) machine dag options =
+   bound; the single-pipe search pins every operation to its default. *)
+let make_env ?entry ~multi ?shared machine dag options =
   let n = Dag.length dag in
   let blk = Dag.block dag in
   let pipe_of pos =
@@ -232,24 +216,19 @@ let make_env ?entry ?(multi = false) ?budget ?memo_cache ?gate
     sched_set = Pipesched_prelude.Bitset.create (max n 1);
     fp = Array.make (1 + Array.length pipe_enqueue + n) 0;
     memo_tbl = None;
-    memo_cache = (match memo_cache with Some r -> r | None -> ref None);
     memo_hits = 0;
     memo_misses = 0;
     cp_est = Array.make (max n 1) 0;
     cp_remaining = Array.make (max (Array.length pipe_enqueue) 1) 0;
     cp_bound = Array.make (n + 1) 0;
     budget =
-      (match budget with
-       | Some b -> b
-       | None ->
-         Budget.start
-           {
-             Budget.calls = Some options.lambda;
-             deadline_s = options.deadline_s;
-             cancel = options.cancel;
-           });
-    inc_gate = gate;
-    task_index;
+      Budget.start
+        {
+          Budget.calls = Some options.lambda;
+          deadline_s = options.deadline_s;
+          cancel = options.cancel;
+        };
+    shared;
     omega_calls = 0;
     schedules_completed = 0;
     improvements = 0;
@@ -457,55 +436,34 @@ let maybe_activate_memo env options =
     && options.memo.memo_enabled
     && env.n > 1
     && env.omega_calls >= options.memo.memo_activation
-  then begin
-    let tbl =
-      match !(env.memo_cache) with
-      | Some tbl ->
-        (* Reuse the previous task's table; [clear] also resets its
-           entry/eviction counters, so per-env stats stay per-task. *)
-        Memo_table.clear tbl;
-        tbl
-      | None ->
-        (* Start tiny and let the table double as entries land: searches
-           that activate the memo but stay small (the common case under
-           modest lambdas) never pay the full-capacity allocate-and-zero
-           that used to make memo-on slower than memo-off. *)
-        let tbl =
-          Memo_table.create_growing ~initial:64
-            ~capacity:options.memo.memo_capacity
-            ~key_words:
-              (Array.length
-                 (Pipesched_prelude.Bitset.raw_words env.sched_set))
-            ~value_words:(Array.length env.fp)
-        in
-        env.memo_cache := Some tbl;
-        tbl
-    in
-    env.memo_tbl <- Some tbl
-  end
+  then
+    (* Start tiny and let the table double as entries land: searches
+       that activate the memo but stay small (the common case under
+       modest lambdas) never pay the full-capacity allocate-and-zero
+       that used to make memo-on slower than memo-off. *)
+    env.memo_tbl <-
+      Some
+        (Memo_table.create_growing ~initial:64
+           ~capacity:options.memo.memo_capacity
+           ~key_words:
+             (Array.length (Pipesched_prelude.Bitset.raw_words env.sched_set))
+           ~value_words:(Array.length env.fp))
 
 (* Exclusive pruning limit: the tighter of this searcher's own best and
-   the shared incumbent's gate (when parallel).  Reading the gate is one
+   the shared incumbent's gate (when racing).  Reading the gate is one
    atomic load; staleness is sound — see Incumbent. *)
 let prune_limit env =
-  match env.inc_gate with
+  match env.shared with
   | None -> env.best_nops
-  | Some g ->
-    let s = Incumbent.limit g ~task:env.task_index in
+  | Some (g, rank) ->
+    let s = Incumbent.limit g ~task:rank in
     if s < env.best_nops then s else env.best_nops
 
 (* The search skeleton.  [push_candidates f pos] must invoke [f] once per
    distinct way of scheduling [pos] next (once for the single-pipe search;
    once per non-symmetric candidate pipe for the multi-pipe search), with
-   the instruction pushed for the dynamic extent of the call.
-
-   [start_depth]: the caller has already replayed a prefix of that length
-   into the env (parallel subtree tasks); the search explores below it.
-   [stop = (d, record)]: instead of descending past depth [d], call
-   [record] with the prefix in place and backtrack — this enumerates the
-   depth-[d] frontier (with the equivalence prunings applied), which is
-   how the parallel driver builds its task set. *)
-let dfs ?(start_depth = 0) ?stop env options ~push_candidates ~on_complete =
+   the instruction pushed for the dynamic extent of the call. *)
+let dfs env options ~push_candidates ~on_complete =
   let module Bitset = Pipesched_prelude.Bitset in
   (* Per-depth scratch, allocated once per search: a snapshot buffer for
      the ready set (as ranks, so snapshots come out in priority order)
@@ -518,15 +476,11 @@ let dfs ?(start_depth = 0) ?stop env options ~push_candidates ~on_complete =
   let sig_rows = if options.strong_equivalence then env.n + 1 else 1 in
   let sig_seen = Array.make_matrix sig_rows (max env.nsigs 1) 0 in
   let sig_gen = ref 0 in
-  let stop_depth, stop_record =
-    match stop with Some (d, f) -> (d, f) | None -> (-1, ignore)
-  in
   (* Per-depth slots for the candidate being expanded plus one callback
      closure per depth ([cbs], filled below): expanding a node allocates
      nothing.  An inline callback would capture the loop variables and
      cost one heap allocation per Omega call — enough to dominate minor
-     GC, which at [search_jobs > 1] means stop-the-world barriers across
-     every worker domain. *)
+     GC. *)
   let cb_rank = Array.make (env.n + 1) 0 in
   let cb_pos = Array.make (env.n + 1) 0 in
   let cbs = Array.make (env.n + 1) ignore in
@@ -536,17 +490,16 @@ let dfs ?(start_depth = 0) ?stop env options ~push_candidates ~on_complete =
       let nops = Omega.State.nops env.st in
       if
         nops < env.best_nops
-        && (match env.inc_gate with
+        && (match env.shared with
            | None -> true
-           | Some g -> Incumbent.admits g ~nops ~task:env.task_index)
+           | Some (g, rank) -> Incumbent.admits g ~nops ~task:rank)
       then begin
         env.best_nops <- nops;
         env.improvements <- env.improvements + 1;
         on_complete ()
       end
     end
-    else if depth = stop_depth then stop_record ()
-    else if depth > start_depth && memo_cut env then ()
+    else if depth > 0 && memo_cut env then ()
     else begin
       (* The ready set is restored after each child, so this snapshot is
          exactly the set of positions the old full scan would accept. *)
@@ -618,11 +571,9 @@ let dfs ?(start_depth = 0) ?stop env options ~push_candidates ~on_complete =
   for d = 0 to env.n do
     cbs.(d) <- expand d
   done;
-  if start_depth = 0 then
-    (* A floor of 0 NOPs is trivially admissible for the root; for a
-       replayed prefix the caller has filled [cp_bound.(0..start_depth)]. *)
-    env.cp_bound.(0) <- 0;
-  go start_depth
+  (* A floor of 0 NOPs is trivially admissible for the root. *)
+  env.cp_bound.(0) <- 0;
+  go 0
 
 (* One Omega call: check the combined budget (lambda / deadline / token),
    raising [Curtailed] once any limit trips — the search then unwinds and
@@ -670,494 +621,95 @@ let stats_of env ~completed =
     memo_evictions = evictions;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Intra-block parallel branch-and-bound.                              *)
-(*                                                                     *)
-(* The driver below parallelizes one search across domains in three    *)
-(* stages:                                                             *)
-(*                                                                     *)
-(*   1. a serial PROBE — the unmodified serial search, capped at       *)
-(*      [parallel_activation] Omega calls.  Easy blocks finish here    *)
-(*      and take the exact serial path (same result, same stats);      *)
-(*   2. on lambda-cap expiry, a serial ENUMERATION of the depth-d      *)
-(*      frontier (equivalence prunings applied, bounds and memo off),  *)
-(*      deepening d until enough subtree tasks exist.  The task list   *)
-(*      is in lexicographic order and independent of the job count;    *)
-(*   3. a WORKER TEAM: each worker pulls tasks off an atomic counter   *)
-(*      (in a strided, diversified order — pure wall-clock heuristic), *)
-(*      replays the prefix into a fresh env and runs [dfs] below it,   *)
-(*      sharing the incumbent through [Incumbent] and drawing lambda   *)
-(*      from a shared [Budget.pool].                                   *)
-(*                                                                     *)
-(* Determinism of the reported result (DESIGN.md §9 for the full       *)
-(* argument): a completed search reports the seed when nothing beats   *)
-(* it, else the lexicographically least optimal completion — the       *)
-(* prunings keep the lex-least representative of every class they      *)
-(* collapse, a dominating memo entry always admits an equal-or-better  *)
-(* lex-earlier completion, and the Incumbent rank protocol resolves    *)
-(* equal-NOP ties toward the lex-earlier task — so serial and parallel *)
-(* agree byte-for-byte at any job count.  Stats other than the NOP     *)
-(* count (calls, completions, memo counters) aggregate worker          *)
-(* nondeterminism and DO vary run to run at [search_jobs > 1].         *)
-(* ------------------------------------------------------------------ *)
+(* The search behind every entry point: it evaluates the seed list
+   schedule, builds the env, runs [dfs] and catches curtailment.  An
+   entry point supplies only [expand], which turns the env into its
+   candidate expander ([push_candidates] for [dfs]), and optionally
+   [on_best], run after each new best has been snapshotted.
 
-(* Per-entry-point adapter the driver drives a search through: a fresh
-   env, the candidate generator, a prefix-replay step, the pipe choices
-   of the current prefix (for task capture), and the payload to snapshot
-   when a completion wins. *)
-type 'a kit = {
-  kenv : search_env;
-  kpush : int -> (unit -> unit) -> unit;
-  kstep : int -> int option -> unit;
-  kpipes : int -> int option array;
-  kpayload : unit -> 'a;
-}
+   [seeded]: the evaluated seed is the initial incumbent.  Otherwise
+   (the register-bounded search, whose seed may be infeasible) it is
+   evaluated only when the caller forces it.  [shared = (inc, rank)]
+   races the search against peers through a shared incumbent: the seed
+   goes in at rank [-1], each new best at [rank], and the gate tightens
+   pruning whenever a peer publishes first.
 
-type task = { t_order : int array; t_pipes : int option array }
-
-(* Stats are summed per-env as each env is retired (probe, enumeration
-   passes, every worker task); worker accs are merged after the join. *)
-type stats_acc = {
-  mutable a_calls : int;
-  mutable a_completed : int;
-  mutable a_improvements : int;
-  mutable a_hits : int;
-  mutable a_misses : int;
-  mutable a_entries : int;
-  mutable a_evictions : int;
-}
-
-let fresh_acc () =
-  {
-    a_calls = 0;
-    a_completed = 0;
-    a_improvements = 0;
-    a_hits = 0;
-    a_misses = 0;
-    a_entries = 0;
-    a_evictions = 0;
-  }
-
-let acc_env acc env =
-  acc.a_calls <- acc.a_calls + env.omega_calls;
-  acc.a_completed <- acc.a_completed + env.schedules_completed;
-  acc.a_improvements <- acc.a_improvements + env.improvements;
-  acc.a_hits <- acc.a_hits + env.memo_hits;
-  acc.a_misses <- acc.a_misses + env.memo_misses;
-  match env.memo_tbl with
-  | None -> ()
-  | Some tbl ->
-    (* Counters are per-task: activation [clear]s the cached table. *)
-    acc.a_entries <- acc.a_entries + Memo_table.entries tbl;
-    acc.a_evictions <- acc.a_evictions + Memo_table.evictions tbl
-
-let acc_merge acc other =
-  acc.a_calls <- acc.a_calls + other.a_calls;
-  acc.a_completed <- acc.a_completed + other.a_completed;
-  acc.a_improvements <- acc.a_improvements + other.a_improvements;
-  acc.a_hits <- acc.a_hits + other.a_hits;
-  acc.a_misses <- acc.a_misses + other.a_misses;
-  acc.a_entries <- acc.a_entries + other.a_entries;
-  acc.a_evictions <- acc.a_evictions + other.a_evictions
-
-let status_rank = function
-  | Budget.Complete -> 0
-  | Budget.Curtailed_deadline -> 1
-  | Budget.Curtailed_lambda -> 2
-  | Budget.Cancelled -> 3
-
-(* Enough tasks for dynamic balance across a few workers; the frontier
-   is deepened (up to the cap) until this many subtrees exist. *)
-let split_task_target = 64
-let split_depth_cap = 8
-
-(* The order workers pull tasks in: a strided interleave of the
-   lex-ordered task list, so early claims sample the whole frontier
-   instead of its lex-first corner.  Diversification finds a strong
-   incumbent sooner (the classic branch-and-bound acceleration), which
-   only changes wall time — the Incumbent rank protocol pins the
-   reported result to the lex order regardless. *)
-let interleave n =
-  let bands = if n < 16 then max n 1 else 16 in
-  let perm = Array.make (max n 1) 0 in
-  let j = ref 0 in
-  for b = 0 to bands - 1 do
-    let k = ref b in
-    while !k < n do
-      perm.(!j) <- !k;
-      incr j;
-      k := !k + bands
-    done
-  done;
-  perm
-
-type 'a par_result = { pr_best : (int * 'a) option; pr_stats : stats }
-
-let par_search (type a) ~options ~n
-    ~(mk_kit :
-        task_index:int ->
-        budget:Budget.t ->
-        memo_cache:Memo_table.t option ref ->
-        gate:Incumbent.gate option ->
-        a kit) ~(seed : (int * a) option) : a par_result =
-  let pool = Budget.pool ~calls:options.lambda in
-  let base_limits =
-    {
-      Budget.calls = None;
-      deadline_s = options.deadline_s;
-      cancel = options.cancel;
-    }
+   Returns the lazy seed, the last new best (if any), the stats, and on
+   completion the proved optimum — [min own-best shared-bound], since
+   with a peer in play the witness may live on the peer's side of the
+   incumbent. *)
+let search ?entry ?(multi = false) ?shared ?(on_best = ignore) ~seeded
+    machine dag options ~expand =
+  let initial =
+    lazy
+      (Omega.evaluate ?entry machine dag
+         ~order:(List_sched.schedule options.seed dag))
   in
-  let acc = fresh_acc () in
-  let finish ~completed ~status ~elapsed best =
-    {
-      pr_best = best;
-      pr_stats =
-        {
-          omega_calls = acc.a_calls;
-          schedules_completed = acc.a_completed;
-          improvements = acc.a_improvements;
-          completed;
-          status;
-          elapsed_s = elapsed;
-          memo_hits = acc.a_hits;
-          memo_misses = acc.a_misses;
-          memo_entries = acc.a_entries;
-          memo_evictions = acc.a_evictions;
-        };
-    }
-  in
-  (* Stage 1: serial probe, capped at [parallel_activation] calls but
-     drawing them from the shared pool so they count against lambda. *)
-  let probe_budget =
-    Budget.start ~pool
-      {
-        base_limits with
-        Budget.calls = Some (max 0 options.parallel_activation);
-      }
-  in
-  let probe =
-    mk_kit ~task_index:(-1) ~budget:probe_budget ~memo_cache:(ref None)
-      ~gate:None
-  in
-  (match seed with
-   | Some (nops, _) -> probe.kenv.best_nops <- nops
-   | None -> ());
-  let probe_best = ref None in
-  let probe_result =
-    match
-      dfs probe.kenv options ~push_candidates:probe.kpush
-        ~on_complete:(fun () ->
-          probe_best := Some (probe.kenv.best_nops, probe.kpayload ()))
-    with
-    | () -> `Done
-    | exception Curtailed -> (
-      match Budget.expiry probe_budget with
-      | Some Budget.Curtailed_lambda when not (Budget.pool_exhausted pool)
-        ->
-        (* The probe's private activation cap tripped, not the search's
-           own limits: this block is hard — go parallel. *)
-        `Escalate
-      | Some s -> `Stopped s
-      | None -> `Stopped Budget.Curtailed_lambda)
-  in
-  acc_env acc probe.kenv;
-  let best_or_seed () =
-    match !probe_best with Some _ as b -> b | None -> seed
-  in
-  let elapsed () = Budget.elapsed_s probe_budget in
-  (* Workers' deadline budgets start their own clocks, so give them the
-     time remaining, not the original span.  Reads the clock iff a
-     deadline is set (determinism contract preserved). *)
-  let remaining_deadline () =
-    match options.deadline_s with
+  let gate =
+    match shared with
     | None -> None
-    | Some d -> Some (Float.max 0.0 (d -. Budget.elapsed_s probe_budget))
+    | Some (inc, rank) ->
+      let seed = Lazy.force initial in
+      ignore
+        (Incumbent.submit inc ~nops:seed.nops ~task:(-1) (fun () -> seed)
+          : bool);
+      Some (Incumbent.gate inc, rank)
   in
-  match probe_result with
-  | `Done ->
-    finish ~completed:true ~status:Budget.Complete ~elapsed:(elapsed ())
-      (best_or_seed ())
-  | `Stopped s ->
-    finish ~completed:false ~status:s ~elapsed:(elapsed ()) (best_or_seed ())
-  | `Escalate ->
-    let inc = Incumbent.create () in
-    (match seed with
-     | Some (nops, p) ->
-       ignore (Incumbent.submit inc ~nops ~task:(-1) (fun () -> p) : bool)
-     | None -> ());
-    (match !probe_best with
-     | Some (nops, p) ->
-       ignore (Incumbent.submit inc ~nops ~task:(-1) (fun () -> p) : bool)
-     | None -> ());
-    (* Stage 2: enumerate the depth-d frontier.  Equivalence prunings on
-       (they define which subtrees exist at all — same classes the
-       serial search explores); alpha-beta and memo off (the frontier
-       must not depend on bound or table dynamics, so the task list is a
-       pure function of the block).  Deepen until enough tasks exist. *)
-    let enum_options =
-      {
-        options with
-        alpha_beta = false;
-        memo = { options.memo with memo_enabled = false };
-      }
-    in
-    let enum_limits =
-      { base_limits with Budget.deadline_s = remaining_deadline () }
-    in
-    let tasks = ref [] in
-    let ntasks = ref 0 in
-    let enum_status = ref None in
-    let depth_cap = max 1 (min split_depth_cap (n - 1)) in
-    let enumerate d =
-      tasks := [];
-      ntasks := 0;
-      let budget = Budget.start ~pool enum_limits in
-      let kit =
-        mk_kit ~task_index:(-1) ~budget ~memo_cache:(ref None) ~gate:None
-      in
-      let record () =
-        tasks :=
-          { t_order = Omega.State.prefix kit.kenv.st; t_pipes = kit.kpipes d }
-          :: !tasks;
-        incr ntasks
-      in
-      let ok =
-        match
-          dfs kit.kenv enum_options ~stop:(d, record)
-            ~push_candidates:kit.kpush ~on_complete:ignore
-        with
-        | () -> true
-        | exception Curtailed ->
-          enum_status :=
-            Some
-              (match Budget.expiry budget with
-               | Some s -> s
-               | None -> Budget.Curtailed_lambda);
-          false
-      in
-      acc_env acc kit.kenv;
-      ok
-    in
-    let d = ref 1 in
-    let ok = ref (enumerate !d) in
-    while !ok && !ntasks < split_task_target && !d < depth_cap do
-      incr d;
-      ok := enumerate !d
-    done;
-    if not !ok then
-      finish ~completed:false
-        ~status:
-          (match !enum_status with
-           | Some s -> s
-           | None -> Budget.Curtailed_lambda)
-        ~elapsed:(elapsed ()) (Incumbent.best inc)
-    else begin
-      let task_arr = Array.of_list (List.rev !tasks) in
-      let nt = Array.length task_arr in
-      if nt = 0 then
-        (* No legal depth-1 extension at all (register-bounded search):
-           the tree below the root is empty, so the probe saw it all. *)
-        finish ~completed:true ~status:Budget.Complete ~elapsed:(elapsed ())
-          (Incumbent.best inc)
-      else begin
-        (* Stage 3: the worker team. *)
-        let jobs = max 2 options.search_jobs in
-        let team_limits =
-          { base_limits with Budget.deadline_s = remaining_deadline () }
-        in
-        let perm = interleave nt in
-        let next = Atomic.make 0 in
-        let gate = Incumbent.gate inc in
-        let waccs = Array.init jobs (fun _ -> fresh_acc ()) in
-        let wstatus = Array.make jobs Budget.Complete in
-        (* Replay a task prefix into a fresh env, mirroring the
-           bookkeeping [dfs] does around each push.  Returns false when
-           the prefix's own bound already fails against the incumbent —
-           the whole subtree is then pruned without a search. *)
-        let replay kit task =
-          let env = kit.kenv in
-          env.cp_bound.(0) <- 0;
-          let d = Array.length task.t_order in
-          let ok = ref true in
-          let i = ref 0 in
-          while !ok && !i < d do
-            let pos = task.t_order.(!i) in
-            kit.kstep pos task.t_pipes.(!i);
-            Pipesched_prelude.Bitset.remove env.ready env.rank.(pos);
-            Pipesched_prelude.Bitset.add env.sched_set pos;
-            Array.iter
-              (fun s ->
-                if Omega.State.is_ready env.st s then
-                  Pipesched_prelude.Bitset.add env.ready env.rank.(s))
-              env.succs.(pos);
-            (if options.alpha_beta then begin
-               let b = bound_value env options ~floor:env.cp_bound.(!i) in
-               env.cp_bound.(!i + 1) <- b;
-               if b >= prune_limit env then ok := false
-             end);
-            incr i
-          done;
-          !ok
-        in
-        Pool.team ~jobs (fun w ->
-            let budget = Budget.start ~pool team_limits in
-            let memo_cache = ref None in
-            let wacc = waccs.(w) in
-            let rec loop () =
-              let k = Atomic.fetch_and_add next 1 in
-              if k < nt then begin
-                let ti = perm.(k) in
-                let task = task_arr.(ti) in
-                let kit =
-                  mk_kit ~task_index:ti ~budget ~memo_cache
-                    ~gate:(Some gate)
-                in
-                let curtailed =
-                  match
-                    if replay kit task then
-                      dfs ~start_depth:(Array.length task.t_order) kit.kenv
-                        options ~push_candidates:kit.kpush
-                        ~on_complete:(fun () ->
-                          ignore
-                            (Incumbent.submit inc
-                               ~nops:(Omega.State.nops kit.kenv.st)
-                               ~task:ti
-                               (fun () -> kit.kpayload ())
-                              : bool))
-                  with
-                  | () -> false
-                  | exception Curtailed -> true
-                in
-                acc_env wacc kit.kenv;
-                if curtailed then
-                  wstatus.(w) <-
-                    (match Budget.expiry budget with
-                     | Some s -> s
-                     | None -> Budget.Curtailed_lambda)
-                else loop ()
-              end
-            in
-            loop ());
-        Array.iter (acc_merge acc) waccs;
-        let completed = Array.for_all Budget.is_complete wstatus in
-        let status =
-          if completed then Budget.Complete
-          else
-            Array.fold_left
-              (fun a s -> if status_rank s > status_rank a then s else a)
-              Budget.Complete wstatus
-        in
-        finish ~completed ~status ~elapsed:(elapsed ()) (Incumbent.best inc)
-      end
-    end
-
-(* Below this size the enumeration/team overhead cannot pay off; the
-   serial path also keeps the parity tests' tiny DAGs trivially equal. *)
-let parallel_worthwhile options n = options.search_jobs > 1 && n > 4
-
-let schedule ?(options = default_options) ?entry machine dag =
-  let seed_order = List_sched.schedule options.seed dag in
-  let initial = Omega.evaluate ?entry machine dag ~order:seed_order in
-  if not (parallel_worthwhile options (Dag.length dag)) then begin
-    let env = make_env ?entry machine dag options in
-    env.best_nops <- initial.nops;
-    let best = ref initial in
-    let push_candidates pos k =
-      count_call env options;
-      Omega.State.push env.st pos;
-      k ();
-      Omega.State.pop env.st
-    in
-    let on_complete () = best := Omega.State.complete_greedily env.st in
-    let completed =
-      match dfs env options ~push_candidates ~on_complete with
-      | () -> true
-      | exception Curtailed -> false
-    in
-    { best = !best; initial; stats = stats_of env ~completed }
-  end
-  else begin
-    let mk_kit ~task_index ~budget ~memo_cache ~gate =
-      let env =
-        make_env ?entry ~budget ~memo_cache ?gate ~task_index machine dag
-          options
-      in
-      {
-        kenv = env;
-        kpush =
-          (fun pos k ->
-            count_call env options;
-            Omega.State.push env.st pos;
-            k ();
-            Omega.State.pop env.st);
-        kstep =
-          (fun pos _pipe ->
-            count_call env options;
-            Omega.State.push env.st pos);
-        kpipes = (fun d -> Array.make d None);
-        kpayload = (fun () -> Omega.State.complete_greedily env.st);
-      }
-    in
-    let p =
-      par_search ~options ~n:(Dag.length dag) ~mk_kit
-        ~seed:(Some (initial.nops, initial))
-    in
-    let best = match p.pr_best with Some (_, b) -> b | None -> initial in
-    { best; initial; stats = p.pr_stats }
-  end
-
-(* One serial search attached to an external shared incumbent — the B&B
-   side of the portfolio racer (see Portfolio), with a peer backend
-   submitting to and pruning against the same incumbent.  The seed goes
-   in at rank [-1]; improvements are published at [rank] as found; the
-   gate tightens pruning whenever the peer publishes first.  A completed
-   run proves "no schedule beats the shared bound", so the claim is
-   [min own-best shared-bound] — the witness schedule may live on the
-   peer's side of the incumbent, not here. *)
-let schedule_shared ?(options = default_options) ?entry ~shared ~rank machine
-    dag =
-  let seed_order = List_sched.schedule options.seed dag in
-  let initial = Omega.evaluate ?entry machine dag ~order:seed_order in
-  ignore
-    (Incumbent.submit shared ~nops:initial.nops ~task:(-1) (fun () -> initial)
-      : bool);
-  let gate = Incumbent.gate shared in
-  let env = make_env ?entry ~gate ~task_index:rank machine dag options in
-  env.best_nops <- initial.nops;
-  let best = ref initial in
-  let push_candidates pos k =
-    count_call env options;
-    Omega.State.push env.st pos;
-    k ();
-    Omega.State.pop env.st
-  in
+  let env = make_env ?entry ~multi ?shared:gate machine dag options in
+  if seeded then env.best_nops <- (Lazy.force initial).nops;
+  let best = ref None in
   let on_complete () =
     let r = Omega.State.complete_greedily env.st in
-    best := r;
-    ignore
-      (Incumbent.submit shared ~nops:r.nops ~task:rank (fun () -> r) : bool)
+    best := Some r;
+    on_best ();
+    match shared with
+    | Some (inc, rank) ->
+      ignore (Incumbent.submit inc ~nops:r.nops ~task:rank (fun () -> r) : bool)
+    | None -> ()
   in
   let completed =
-    match dfs env options ~push_candidates ~on_complete with
+    match dfs env options ~push_candidates:(expand env) ~on_complete with
     | () -> true
     | exception Curtailed -> false
   in
   let proved =
     if not completed then None
     else
-      Some
-        (match Incumbent.bound gate with
-         | Some (v, _) -> min v env.best_nops
-         | None -> env.best_nops)
+      match Option.bind gate (fun (g, _) -> Incumbent.bound g) with
+      | Some (v, _) -> Some (min v env.best_nops)
+      | None -> Some env.best_nops
   in
-  ({ best = !best; initial; stats = stats_of env ~completed }, proved)
+  (initial, !best, stats_of env ~completed, proved)
+
+(* Each operation on its default pipe: one push per candidate. *)
+let push_default options env =
+  let push pos k =
+    count_call env options;
+    Omega.State.push env.st pos;
+    k ();
+    Omega.State.pop env.st
+  in
+  push
+
+let schedule_default ~options ?entry ?shared machine dag =
+  let initial, best, stats, proved =
+    search ?entry ?shared ~seeded:true machine dag options
+      ~expand:(push_default options)
+  in
+  let initial = Lazy.force initial in
+  ({ best = Option.value best ~default:initial; initial; stats }, proved)
+
+let schedule ?(options = default_options) ?entry machine dag =
+  fst (schedule_default ~options ?entry machine dag)
+
+(* The B&B side of the portfolio racer (see Portfolio). *)
+let schedule_shared ?(options = default_options) ?entry ~shared ~rank machine
+    dag =
+  schedule_default ~options ?entry ~shared:(shared, rank) machine dag
 
 let schedule_multi ?(options = default_options) ?entry machine dag =
   let n = Dag.length dag in
   let blk = Dag.block dag in
-  let seed_order = List_sched.schedule options.seed dag in
-  let initial = Omega.evaluate ?entry machine dag ~order:seed_order in
   let default_choice =
     Array.init n (fun pos ->
         Machine.default_pipe machine (Block.tuple_at blk pos).Tuple.op)
@@ -1186,19 +738,14 @@ let schedule_multi ?(options = default_options) ?entry machine dag =
     Array.init (max npipes 1) (fun p ->
         if p < npipes then (Machine.pipe machine p).Pipe.enqueue else 0)
   in
-  (* One search instance: env + candidate generator + its choice array.
-     Shared by the serial path and by every parallel kit. *)
-  let mk_parts ?budget ?memo_cache ?gate ?task_index () =
-    let env =
-      make_env ?entry ~multi:true ?budget ?memo_cache ?gate ?task_index
-        machine dag options
-    in
-    let choice = Array.copy default_choice in
+  let choice = Array.copy default_choice in
+  let best_choice = ref (Array.copy default_choice) in
+  let expand env =
     (* Per-depth scratch for the symmetric-pipe pruning: keys already
        tried at this choice point, as ints, linear-scanned (candidate
        lists are a handful of pipes at most). *)
     let tried_buf = Array.make_matrix (n + 1) (max npipes 1) 0 in
-    let push_candidates pos k =
+    let push pos k =
       match candidates_of.(pos) with
       | [] ->
         count_call env options;
@@ -1237,55 +784,15 @@ let schedule_multi ?(options = default_options) ?entry machine dag =
             end)
           pids
     in
-    (env, push_candidates, choice)
+    push
   in
-  if not (parallel_worthwhile options n) then begin
-    let env, push_candidates, choice = mk_parts () in
-    env.best_nops <- initial.nops;
-    let best = ref initial in
-    let best_choice = ref (Array.copy default_choice) in
-    let on_complete () =
-      best := Omega.State.complete_greedily env.st;
-      best_choice := Array.copy choice
-    in
-    let completed =
-      match dfs env options ~push_candidates ~on_complete with
-      | () -> true
-      | exception Curtailed -> false
-    in
-    ({ best = !best; initial; stats = stats_of env ~completed }, !best_choice)
-  end
-  else begin
-    let mk_kit ~task_index ~budget ~memo_cache ~gate =
-      let env, push_candidates, choice =
-        mk_parts ~budget ~memo_cache ?gate ~task_index ()
-      in
-      {
-        kenv = env;
-        kpush = push_candidates;
-        kstep =
-          (fun pos pipe ->
-            count_call env options;
-            Omega.State.push_on env.st pos ~pipe;
-            choice.(pos) <- pipe);
-        kpipes =
-          (fun d ->
-            Array.init d (fun i -> choice.(Omega.State.at_depth env.st i)));
-        kpayload =
-          (fun () -> (Omega.State.complete_greedily env.st, Array.copy choice));
-      }
-    in
-    let p =
-      par_search ~options ~n ~mk_kit
-        ~seed:(Some (initial.nops, (initial, Array.copy default_choice)))
-    in
-    let best, best_choice =
-      match p.pr_best with
-      | Some (_, bc) -> bc
-      | None -> (initial, Array.copy default_choice)
-    in
-    ({ best; initial; stats = p.pr_stats }, best_choice)
-  end
+  let initial, best, stats, _ =
+    search ?entry ~multi:true ~seeded:true machine dag options ~expand
+      ~on_best:(fun () -> best_choice := Array.copy choice)
+  in
+  let initial = Lazy.force initial in
+  ( { best = Option.value best ~default:initial; initial; stats },
+    !best_choice )
 
 (* Incremental register-demand bookkeeping for the bounded search.  A
    value is live from its definition until its last remaining consumer is
@@ -1374,17 +881,9 @@ end
 let schedule_bounded ?(options = default_options) ~registers machine dag =
   if registers < 1 then
     invalid_arg "Optimal.schedule_bounded: registers must be >= 1";
-  let seed_order = List_sched.schedule options.seed dag in
-  (* The seed is only a reference point, never an incumbent: it may
-     violate the register bound.  Evaluating it is pure waste when the
-     search comes up empty, so force it only on success. *)
-  let initial = lazy (Omega.evaluate machine dag ~order:seed_order) in
-  let mk_parts ?budget ?memo_cache ?gate ?task_index () =
-    let env =
-      make_env ?budget ?memo_cache ?gate ?task_index machine dag options
-    in
+  let expand env =
     let pressure = Pressure.create dag in
-    let push_candidates pos k =
+    let push pos k =
       if Pressure.demand pressure pos <= registers then begin
         count_call env options;
         Omega.State.push env.st pos;
@@ -1394,49 +893,15 @@ let schedule_bounded ?(options = default_options) ~registers machine dag =
         Omega.State.pop env.st
       end
     in
-    (env, push_candidates, pressure)
+    push
   in
-  if not (parallel_worthwhile options (Dag.length dag)) then begin
-    let env, push_candidates, _pressure = mk_parts () in
-    let best = ref None in
-    let on_complete () =
-      best := Some (Omega.State.complete_greedily env.st)
-    in
-    let completed =
-      match dfs env options ~push_candidates ~on_complete with
-      | () -> true
-      | exception Curtailed -> false
-    in
-    let stats = stats_of env ~completed in
-    match !best with
-    | Some best -> Ok { best; initial = Lazy.force initial; stats }
-    | None -> Error ()
-  end
-  else begin
-    let mk_kit ~task_index ~budget ~memo_cache ~gate =
-      let env, push_candidates, pressure =
-        mk_parts ~budget ~memo_cache ?gate ~task_index ()
-      in
-      {
-        kenv = env;
-        kpush = push_candidates;
-        kstep =
-          (fun pos _pipe ->
-            (* Prefixes come from the register-feasible enumeration, so
-               the demand gate was already applied to every step. *)
-            count_call env options;
-            Omega.State.push env.st pos;
-            Pressure.push pressure pos);
-        kpipes = (fun d -> Array.make d None);
-        kpayload = (fun () -> Omega.State.complete_greedily env.st);
-      }
-    in
-    let p = par_search ~options ~n:(Dag.length dag) ~mk_kit ~seed:None in
-    match p.pr_best with
-    | Some (_, best) ->
-      Ok { best; initial = Lazy.force initial; stats = p.pr_stats }
-    | None -> Error ()
-  end
+  (* The seed is only a reference point, never an incumbent: it may
+     violate the register bound.  Evaluating it is pure waste when the
+     search comes up empty, so it is forced only on success. *)
+  match search ~seeded:false machine dag options ~expand with
+  | initial, Some best, stats, _ ->
+    Ok { best; initial = Lazy.force initial; stats }
+  | _, None, _, _ -> Error ()
 
 let verify_optimal machine dag (outcome : outcome) =
   let r = Baselines.legal_only_search machine dag in

@@ -96,39 +96,16 @@ type options = {
   alpha_beta : bool;            (** step [6] on/off *)
   lower_bound : lower_bound;
   memo : memo_options;          (** dominance memoization (extension) *)
-  search_jobs : int;
-      (** intra-block parallel branch-and-bound (extension): number of
-          domains searching {e this block's} tree together.  [1] (the
-          default) is the plain serial search.  At [>= 2] a hard block
-          is split at its root frontier into lexicographically ordered
-          subtree tasks, searched by a worker team sharing the incumbent
-          through an atomic bound ({!Pipesched_prelude.Incumbent}) and
-          drawing [lambda] from a shared pool
-          ({!Pipesched_prelude.Budget.pool}).  The reported schedule and
-          NOP count are {e identical at any job count} (see DESIGN.md
-          §9); [omega_calls] and the other exploration counters are not
-          — workers race, so the work actually done varies. *)
-  parallel_activation : int;
-      (** Omega calls the serial probe spends before a [search_jobs > 1]
-          search escalates to the worker team.  Blocks whose serial
-          search finishes within this cap take the exact serial path —
-          same result, same stats — so easy blocks never pay the
-          parallel overhead.  Ignored when [search_jobs <= 1]. *)
 }
 
 (** The paper's configuration: [lambda = 100_000], no deadline, no
     cancellation token, {!List_sched.Max_distance} seed, equivalence and
     alpha-beta pruning on, [Partial_nops] bound, strong equivalence off,
-    {!default_memo} memoization, serial search ([search_jobs = 1],
-    [parallel_activation = 4096]). *)
+    {!default_memo} memoization. *)
 val default_options : options
 
-(** Search statistics.  With [search_jobs > 1] these are summed over the
-    probe, the frontier enumeration, and every worker task; the
-    exploration counters ([omega_calls], [schedules_completed],
-    [improvements], memo counters) then depend on scheduling races and
-    vary run to run — only [completed], [status], and the reported
-    schedule itself are deterministic. *)
+(** Search statistics.  Without a deadline or a cancellation token every
+    field is deterministic. *)
 type stats = {
   omega_calls : int;
       (** incremental NOP insertions performed (the paper's Lambda) *)
@@ -170,18 +147,18 @@ type outcome = {
 val schedule :
   ?options:options -> ?entry:Omega.entry -> Machine.t -> Dag.t -> outcome
 
-(** [schedule_shared ~shared ~rank machine dag] — the serial single-pipe
-    search attached to an external shared incumbent, for the portfolio
-    racer ({!Pipesched_core.Portfolio}): the evaluated seed is submitted
-    at rank [-1], every improvement is published at rank [rank] as it is
+(** [schedule_shared ~shared ~rank machine dag] — {!schedule} attached
+    to an external shared incumbent, for the portfolio racer
+    ({!Pipesched_core.Portfolio}): the evaluated seed is submitted at
+    rank [-1], every improvement is published at rank [rank] as it is
     found, and the incumbent's gate tightens pruning whenever a peer
     backend publishes a better bound first.  Returns the usual outcome
     plus [Some proved] when the search ran to completion: the proved
     optimal NOP count, which is [min own-best shared-bound] — with a
     peer in play the proof is relative to the shared bound, so the
     witness schedule may be held by the peer (fetch it with
-    [Incumbent.best]).  [options.search_jobs] is ignored here; the racer
-    parallelizes across backends instead. *)
+    [Incumbent.best]).  With a fresh incumbent and no peer the outcome
+    equals {!schedule}'s. *)
 val schedule_shared :
   ?options:options ->
   ?entry:Omega.entry ->

@@ -44,7 +44,7 @@ let standalone_optima ?options ?entry machine blk =
   let dag = Dag.of_block blk in
   let o =
     Optimal.schedule
-      ~options:{ options with Optimal.search_jobs = 1; Optimal.cancel = None }
+      ~options:{ options with Optimal.cancel = None }
       ?entry machine dag
   in
   let c =
@@ -170,9 +170,7 @@ let run ?(options = Optimal.default_options) ?entry
     | Some t -> Budget.derive t
     | None -> Budget.token ()
   in
-  let side_options =
-    { options with Optimal.cancel = Some stop; Optimal.search_jobs = 1 }
-  in
+  let side_options = { options with Optimal.cancel = Some stop } in
   (* Inline CP presolve: a few hundred decisions, same shared incumbent.
      When it proves the block outright the race never starts — the bnb
      side then reports zero calls with status [Cancelled]. *)

@@ -65,8 +65,7 @@ exception Disagreement of string
 
 (** [run machine dag] races the two backends.  [options.lambda] is
     granted to {e each} side in its own units; [options.cancel] cancels
-    the whole race; [options.search_jobs] is ignored (the two race
-    domains are the parallelism).  [repro_dir] (default
+    the whole race.  [repro_dir] (default
     ["portfolio-repro"]) receives the repro file if a disagreement is
     ever detected. *)
 val run :

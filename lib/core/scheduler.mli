@@ -18,8 +18,9 @@
       (exact backends only; heuristic backends always report
       [completed = false] with status [Complete] — they terminate
       naturally but prove nothing);
-    - with no deadline, no cancellation and [search_jobs = 1], the
-      reported schedule is deterministic. *)
+    - with no deadline and no cancellation, the reported schedule is
+      deterministic, except that the portfolio pins only [proved] and
+      [best.nops] (which side finds the witness depends on the race). *)
 
 open Pipesched_ir
 open Pipesched_machine

@@ -12,16 +12,15 @@ let machine = Machine.Presets.simulation
 
 let run_study ?(seed = 1990) ?(count = 16_000) ?(lambda = 50_000)
     ?(strong = false) ?(memo = Optimal.default_memo) ?deadline_s
-    ?block_deadline_s ?cancel ?jobs ?search_jobs ?strict ?certify ?backend
-    ?progress () =
+    ?block_deadline_s ?cancel ?jobs ?strict ?certify ?backend ?progress () =
   let options =
     { Optimal.default_options with
       Optimal.lambda;
       Optimal.strong_equivalence = strong;
       Optimal.memo = memo }
   in
-  Study.run ~options ?deadline_s ?block_deadline_s ?cancel ?jobs
-    ?search_jobs ?strict ?certify ?backend ?progress ~seed ~count machine
+  Study.run ~options ?deadline_s ?block_deadline_s ?cancel ?jobs ?strict
+    ?certify ?backend ?progress ~seed ~count machine
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -737,8 +736,8 @@ let print_portfolio_study ?(seed = 1990) ?(count = 80) ?(lambda = 50_000)
   Format.fprintf fmt "  portfolio disagreements: %d@." !disagreements
 
 let run_all ?(seed = 1990) ?(count = 16_000) ?lambda ?strong ?memo
-    ?deadline_s ?block_deadline_s ?jobs ?search_jobs ?strict ?certify
-    ?backend ?progress ?study fmt =
+    ?deadline_s ?block_deadline_s ?jobs ?strict ?certify ?backend ?progress
+    ?study fmt =
   Format.fprintf fmt
     "Reproduction: Nisar & Dietz, Optimal Code Scheduling for \
      Multiple-Pipeline Processors (1990)@.";
@@ -750,8 +749,7 @@ let run_all ?(seed = 1990) ?(count = 16_000) ?lambda ?strong ?memo
     | Some s -> s
     | None ->
       run_study ~seed ~count ?lambda ?strong ?memo ?deadline_s
-        ?block_deadline_s ?jobs ?search_jobs ?strict ?certify ?backend
-        ?progress ()
+        ?block_deadline_s ?jobs ?strict ?certify ?backend ?progress ()
   in
   print_table7 fmt study;
   print_fig1 fmt study;

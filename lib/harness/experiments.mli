@@ -23,10 +23,7 @@ type study = Study.result list
     incumbents — see Study.run); [cancel] is a shared cancellation
     token.  [jobs] sets the number of worker domains blocks are
     scheduled across; without deadlines, results are identical at any
-    job count (see Study.run).  [search_jobs] sets the {e intra-block}
-    team size each block's branch-and-bound runs on (two-level scheme;
-    default 1 = serial search, results identical at any value — see
-    Study.run and Optimal.options).  [strict] disables per-block fault
+    job count (see Study.run).  [strict] disables per-block fault
     containment (fail-fast); [certify] re-checks every schedule with the
     independent certifier (see Study.run_block).  [backend] selects the
     scheduler by {!Pipesched_core.Scheduler} registry name (default
@@ -36,7 +33,7 @@ val run_study :
   ?memo:Pipesched_core.Optimal.memo_options ->
   ?deadline_s:float -> ?block_deadline_s:float ->
   ?cancel:Pipesched_prelude.Budget.token -> ?jobs:int ->
-  ?search_jobs:int -> ?strict:bool -> ?certify:bool -> ?backend:string ->
+  ?strict:bool -> ?certify:bool -> ?backend:string ->
   ?progress:(int -> unit) ->
   unit -> study
 
@@ -135,15 +132,14 @@ val print_portfolio_study :
 
 (** Run everything in order with the given study size (default 16,000).
     [jobs] is threaded to the main study, the ablation, and the machine
-    and structure sweeps; [search_jobs] to the main study only;
-    [deadline_s] / [block_deadline_s] deadline the main study (see
-    {!run_study}); [backend] selects the main study's scheduler (see
-    {!run_study}).  Pass [study] to reuse records already computed (the
-    bench harness does, to time the study separately). *)
+    and structure sweeps; [deadline_s] / [block_deadline_s] deadline the
+    main study (see {!run_study}); [backend] selects the main study's
+    scheduler (see {!run_study}).  Pass [study] to reuse records already
+    computed (the bench harness does, to time the study separately). *)
 val run_all :
   ?seed:int -> ?count:int -> ?lambda:int -> ?strong:bool ->
   ?memo:Pipesched_core.Optimal.memo_options ->
   ?deadline_s:float -> ?block_deadline_s:float -> ?jobs:int ->
-  ?search_jobs:int -> ?strict:bool -> ?certify:bool -> ?backend:string ->
+  ?strict:bool -> ?certify:bool -> ?backend:string ->
   ?progress:(int -> unit) ->
   ?study:study -> Format.formatter -> unit

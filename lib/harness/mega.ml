@@ -13,7 +13,6 @@ type config = {
   count : int;
   shards : int;
   jobs : int;
-  search_jobs : int;
   lambda : int;
   dedup_capacity : int;
   checkpoint_every : int;
@@ -28,7 +27,6 @@ let default =
     count = 10_000;
     shards = 2;
     jobs = 1;
-    search_jobs = 1;
     lambda = 50_000;
     dedup_capacity = 65_536;
     checkpoint_every = 1_000;
@@ -62,7 +60,6 @@ let validate cfg =
   if cfg.count < 0 then invalid_arg "Mega: negative count";
   if cfg.shards < 1 then invalid_arg "Mega: shards must be >= 1";
   if cfg.jobs < 1 then invalid_arg "Mega: jobs must be >= 1";
-  if cfg.search_jobs < 1 then invalid_arg "Mega: search_jobs must be >= 1";
   if cfg.lambda < 1 then invalid_arg "Mega: lambda must be >= 1";
   if cfg.dedup_capacity < 0 then invalid_arg "Mega: negative dedup_capacity";
   if cfg.checkpoint_every < 1 then
@@ -74,8 +71,8 @@ let validate cfg =
    result-transparent), so a resume may legally change those. *)
 let config_fingerprint cfg =
   Printf.sprintf
-    "v1;seed=%d;count=%d;shards=%d;lambda=%d;search_jobs=%d;certify=%b;machine=%s"
-    cfg.seed cfg.count cfg.shards cfg.lambda cfg.search_jobs cfg.certify
+    "v1;seed=%d;count=%d;shards=%d;lambda=%d;certify=%b;machine=%s"
+    cfg.seed cfg.count cfg.shards cfg.lambda cfg.certify
     (Machine.fingerprint (resolve_machine cfg))
 
 (* ------------------------------------------------------------------ *)
@@ -314,7 +311,7 @@ let crash_spec () =
 
 let worker_main cfg ~shard ~resume =
   validate cfg;
-  if cfg.jobs > 1 || cfg.search_jobs > 1 then
+  if cfg.jobs > 1 then
     (* Domains make minor GCs stop-the-world barriers; same tuning as
        the bench harness. *)
     Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
@@ -333,13 +330,7 @@ let worker_main cfg ~shard ~resume =
   output_char out '\n';
   flush out;
   let cache = Lru.create ~capacity:cfg.dedup_capacity in
-  let options =
-    {
-      Optimal.default_options with
-      Optimal.lambda = cfg.lambda;
-      Optimal.search_jobs = cfg.search_jobs;
-    }
-  in
+  let options = { Optimal.default_options with Optimal.lambda = cfg.lambda } in
   (* Solve the *canonical* block, so the record is a pure function of
      the block's canonical class and an LRU hit replays exactly what a
      fresh search would report (dedup transparency — see mega.mli). *)
@@ -421,7 +412,6 @@ let worker_arg cfg ~shard ~resume =
          ("count", Json.Int cfg.count);
          ("shards", Json.Int cfg.shards);
          ("jobs", Json.Int cfg.jobs);
-         ("search_jobs", Json.Int cfg.search_jobs);
          ("lambda", Json.Int cfg.lambda);
          ("dedup_capacity", Json.Int cfg.dedup_capacity);
          ("checkpoint_every", Json.Int cfg.checkpoint_every);
@@ -442,7 +432,6 @@ let worker_of_arg s =
       let* count = jint "count" j in
       let* shards = jint "shards" j in
       let* jobs = jint "jobs" j in
-      let* search_jobs = jint "search_jobs" j in
       let* lambda = jint "lambda" j in
       let* dedup_capacity = jint "dedup_capacity" j in
       let* checkpoint_every = jint "checkpoint_every" j in
@@ -457,7 +446,6 @@ let worker_of_arg s =
             count;
             shards;
             jobs;
-            search_jobs;
             lambda;
             dedup_capacity;
             checkpoint_every;

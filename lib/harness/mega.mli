@@ -16,12 +16,11 @@
 
     {b Determinism.}  Each worker canonicalizes its block
     ({!Pipesched_ir.Canonical}) and searches the {e canonical} block, so
-    a block's record is a pure function of its canonical class (at
-    [search_jobs = 1]; beyond that [omega_calls] etc. race, as in
-    {!Study.run}).  The per-shard dedup LRU is then transparent: a cache
-    hit replays byte-for-byte the record a fresh search would produce —
-    which is why {!Aggregate.render} is byte-identical at any [shards] /
-    [jobs] / [dedup_capacity], and why the LRU needs no checkpointing.
+    a block's record is a pure function of its canonical class.  The
+    per-shard dedup LRU is then transparent: a cache hit replays
+    byte-for-byte the record a fresh search would produce — which is why
+    {!Aggregate.render} is byte-identical at any [shards] / [jobs] /
+    [dedup_capacity], and why the LRU needs no checkpointing.
 
     {b Checkpoint / resume.}  Every [checkpoint_every] blocks a worker
     atomically (write-temp + rename) persists its full aggregate plus a
@@ -45,7 +44,6 @@ type config = {
   count : int;  (** corpus size (blocks) *)
   shards : int;  (** worker processes *)
   jobs : int;  (** domains per worker for block-level parallelism *)
-  search_jobs : int;  (** intra-block search domains (see {!Study.run}) *)
   lambda : int;  (** per-block Omega-call budget *)
   dedup_capacity : int;
       (** per-shard canonical-key LRU entries; [0] disables dedup *)
@@ -55,8 +53,8 @@ type config = {
   certify : bool;  (** independently certify every searched schedule *)
 }
 
-(** [seed 1990], [count 10_000], [shards 2], [jobs 1], [search_jobs 1],
-    [lambda 50_000], [dedup_capacity 65_536], [checkpoint_every 1_000],
+(** [seed 1990], [count 10_000], [shards 2], [jobs 1], [lambda 50_000],
+    [dedup_capacity 65_536], [checkpoint_every 1_000],
     [checkpoint_dir "mega-checkpoints"], [machine "simulation"], no
     certification. *)
 val default : config

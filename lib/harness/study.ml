@@ -182,17 +182,8 @@ let run_dedup ?strict ?jobs ?progress ~key ~solve items =
     (Pool.parallel_map_result ?jobs (fun x -> (x, key x)) items)
 
 let run ?(options = default_options) ?deadline_s ?block_deadline_s ?cancel
-    ?freq ?jobs ?search_jobs ?strict ?certify ?backend ?(dedup = true)
-    ?progress ~seed ~count machine =
-  (* Two-level scheduling: [jobs] block-level domains, each block's
-     search itself running on [search_jobs] team workers.  The search's
-     determinism contract (same result at any job count) keeps the
-     study's record-for-record reproducibility intact. *)
-  let options =
-    match search_jobs with
-    | None -> options
-    | Some sj -> { options with Optimal.search_jobs = max 1 sj }
-  in
+    ?freq ?jobs ?strict ?certify ?backend ?(dedup = true) ?progress ~seed
+    ~count machine =
   let rng = Rng.create seed in
   let seeds = Array.make (max count 1) 0 in
   for i = 0 to count - 1 do

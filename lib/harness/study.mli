@@ -131,16 +131,6 @@ val run_dedup :
     [certify] runs the independent certifier on every block's result
     (see {!run_block}).
 
-    [search_jobs] overrides [options.search_jobs]: the number of
-    {e intra-block} team workers each block's branch-and-bound runs on
-    (second level of the two-level scheme; default 1, serial search —
-    see {!Optimal.options}).  Because the parallel search reports a
-    result identical to the serial one, the study's determinism
-    contract extends to it: records are field-for-field equal at any
-    ([jobs], [search_jobs]) combination except [omega_calls],
-    [schedules_completed] and [time_s], which at [search_jobs > 1]
-    reflect racing workers.
-
     [backend] selects the scheduler per {!run_block} (default the
     branch-and-bound); every other knob — budgets, dedup, fault
     isolation, certification — applies to any backend.
@@ -172,7 +162,6 @@ val run :
   ?cancel:Pipesched_prelude.Budget.token ->
   ?freq:Pipesched_synth.Frequency.t ->
   ?jobs:int ->
-  ?search_jobs:int ->
   ?strict:bool ->
   ?certify:bool ->
   ?backend:string ->

@@ -30,9 +30,9 @@ let kind_index = function
 (* ------------------------------------------------------------------ *)
 (* Refinement: Weisfeiler-Leman colors over the DAG.                   *)
 
-let refine dag opix =
-  let n = Array.length opix in
-  let color = Array.map (fun o -> Hashtbl.hash (0x9e37, o)) opix in
+(* Refines [color] in place. *)
+let refine dag color =
+  let n = Array.length color in
   let distinct colors =
     let seen = Hashtbl.create (2 * n) in
     Array.iter (fun c -> Hashtbl.replace seen c ()) colors;
@@ -76,8 +76,7 @@ let refine dag opix =
       end
     end
   in
-  go 0;
-  color
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Canonical order: greedy Kahn, least invariant key first.            *)
@@ -89,8 +88,7 @@ let canonical_order dag opix color =
   let indeg = Array.init n (fun v -> Array.length (Dag.preds_arr dag v)) in
   (* The key of a ready node: canonical positions of its (already
      placed) predecessors tagged with edge kinds, then its refined
-     color, then its op.  All components are isomorphism invariants;
-     nodes equal on the full key are interchangeable. *)
+     color, then its op.  All components are isomorphism invariants. *)
   let key v =
     let ps =
       Array.map
@@ -106,21 +104,44 @@ let canonical_order dag opix color =
     Array.sort compare ps;
     (Array.to_list ps, color.(v), opix.(v))
   in
+  (* Twins — tied nodes with the same successors over the same edge
+     kinds — are swapped by an automorphism fixing every other node, so
+     either pick yields the same canonical block.  (A tie already means
+     the same op and the same predecessors.) *)
+  let twins v w =
+    Dag.succs_arr dag v = Dag.succs_arr dag w
+    && Array.for_all
+         (fun s -> Dag.edge_kind dag v s = Dag.edge_kind dag w s)
+         (Dag.succs_arr dag v)
+  in
   for j = 0 to n - 1 do
-    let best = ref (-1) and best_key = ref ([], 0, 0) in
+    let best = ref (-1) and best_key = ref ([], 0, 0) and tied = ref [] in
     for v = 0 to n - 1 do
       if placed.(v) < 0 && indeg.(v) = 0 then begin
         let k = key v in
-        if !best < 0 || compare k !best_key < 0 then begin
+        let c = if !best < 0 then -1 else compare k !best_key in
+        if c < 0 then begin
           best := v;
-          best_key := k
+          best_key := k;
+          tied := []
         end
+        else if c = 0 then tied := v :: !tied
       end
     done;
     let v = !best in
     placed.(v) <- j;
     perm.(j) <- v;
-    Array.iter (fun w -> indeg.(w) <- indeg.(w) - 1) (Dag.succs_arr dag v)
+    Array.iter (fun w -> indeg.(w) <- indeg.(w) - 1) (Dag.succs_arr dag v);
+    (* Other ties stop being interchangeable once one is placed: the
+       next picks must follow the placed node's neighbourhood, not the
+       input order (in [Load a; Const; And; Load b; Const; And] the
+       [Const] sharing an [And] with the placed [Load] must come first).
+       So individualize the chosen node and let refinement carry its
+       position through the DAG. *)
+    if List.exists (fun w -> not (twins v w)) !tied then begin
+      color.(v) <- Hashtbl.hash (color.(v), j);
+      refine dag color
+    end
   done;
   (perm, placed)
 
@@ -240,7 +261,8 @@ let of_dag dag =
   let blk = Dag.block dag in
   let n = Dag.length dag in
   let opix = Array.init n (fun i -> op_index (Block.tuple_at blk i).Tuple.op) in
-  let color = refine dag opix in
+  let color = Array.map (fun o -> Hashtbl.hash (0x9e37, o)) opix in
+  refine dag color;
   let perm, placed = canonical_order dag opix color in
   let cblk = materialize dag blk placed perm in
   let key = Block.to_string cblk in

@@ -22,9 +22,11 @@
     + {b canonical order}: a greedy topological order that always emits
       the ready node with the least (placed-predecessor positions,
       color, op) key.  Every component of the key is an isomorphism
-      invariant, so isomorphic presentations emit the same order; nodes
-      still tied are structurally interchangeable and either choice
-      yields the same canonical block;
+      invariant, so isomorphic presentations emit the same order.  When
+      the emitted node ties with a ready node that is not its twin (the
+      same successors over the same edge kinds), it is individualized
+      (its position folded into its color) and the refinement re-run, so
+      later picks follow the placed node rather than the input order;
     + {b materialization}: the canonical {!block} is rebuilt in that
       order with ids [1..n]; memory operations connected by {e recorded}
       memory edges (flow/anti/output) form groups renamed by first

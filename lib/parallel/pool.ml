@@ -14,22 +14,6 @@ let resolve_jobs = function
   | Some j -> max 1 j
   | None -> default_jobs ()
 
-(* Search workers default to 1 (serial), not the core count: intra-block
-   parallelism only pays off on hard blocks, and the block-level pool
-   above it already uses the cores.  Opt in via the env knob or the
-   --search-jobs flags. *)
-let default_search_jobs () =
-  match Sys.getenv_opt "PIPESCHED_SEARCH_JOBS" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some j when j >= 1 -> j
-     | Some _ | None -> 1)
-  | None -> 1
-
-let resolve_search_jobs = function
-  | Some j -> max 1 j
-  | None -> default_search_jobs ()
-
 (* Set in every worker domain: a nested parallel_map runs serially there,
    so pools never wait on each other. *)
 let inside_worker = Domain.DLS.new_key (fun () -> false)
@@ -148,9 +132,10 @@ let parallel_map ?jobs ?chunk ?cancel ?progress f xs =
   end
 
 (* A fixed team of [jobs] collaborating workers (they share state by
-   design — e.g. an incumbent and a work counter — unlike the pure maps
-   above).  Worker 0 runs on the calling domain, so [team ~jobs:1 f] is
-   exactly [f 0] with no domain spawned and the caller's DLS untouched;
+   design — e.g. the portfolio's incumbent and stop token — unlike the
+   pure maps above).  Worker 0 runs on the calling domain, so
+   [team ~jobs:1 f] is exactly [f 0] with no domain spawned and the
+   caller's DLS untouched;
    spawned workers get [inside_worker] set so any parallel_map they
    reach runs serially.  All workers are joined before returning; the
    first exception (worker 0 first, then spawn order) is re-raised. *)

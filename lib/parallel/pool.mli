@@ -29,18 +29,6 @@ val default_jobs : unit -> int
     {!default_jobs}. *)
 val resolve_jobs : int option -> int
 
-(** [default_search_jobs ()] is the {e intra-block} search worker count
-    used when a [--search-jobs] flag is omitted: [PIPESCHED_SEARCH_JOBS]
-    when set to a positive integer, otherwise 1 (serial search).  Unlike
-    {!default_jobs} it does not default to the core count: the
-    block-level pool already occupies the cores, so a second level of
-    parallelism is opt-in. *)
-val default_search_jobs : unit -> int
-
-(** [Some j] clamps to at least 1, [None] falls back to
-    {!default_search_jobs}. *)
-val resolve_search_jobs : int option -> int
-
 (** Raised by {!parallel_map} / {!map_reduce} when the [?cancel] token
     was tripped before every item was mapped.  Items already in flight
     finish first (cancellation is cooperative — no domain is killed), so
@@ -108,8 +96,8 @@ val parallel_map_result :
 (** [team ~jobs f] runs [f 0 .. f (jobs-1)] as a fixed team of
     collaborating workers and waits for all of them.  Unlike
     {!parallel_map}'s items, team workers are {e expected} to share
-    state (an incumbent, an atomic work counter, a budget pool) — the
-    caller is responsible for that state's thread safety.  Worker 0 runs
+    state (the portfolio's two sides share an incumbent and a stop
+    token) — the caller is responsible for that state's thread safety.  Worker 0 runs
     on the calling domain (so [~jobs:1] spawns nothing and is exactly
     [f 0]); the [jobs - 1] spawned domains are flagged as pool workers
     so nested {!parallel_map} calls inside them run serially.  If any

@@ -50,57 +50,30 @@ let set_clock f = clock := f
 (* Deadline re-checked every this many spends; must be a power of two. *)
 let check_stride = 32
 
-(* A shared call pool: one lambda split across concurrent searchers.
-   Workers reserve slices with a single fetch-and-add each; reserved
-   slices are disjoint by construction, so the sum of calls actually
-   granted across all attached budgets never exceeds [pool_calls] no
-   matter how claims interleave. *)
-type pool = { pool_calls : int; pool_next : int Atomic.t }
-
-let pool ~calls = { pool_calls = max 0 calls; pool_next = Atomic.make 0 }
-
-let pool_exhausted p = Atomic.get p.pool_next >= p.pool_calls
-
-let pool_spent p = min (Atomic.get p.pool_next) p.pool_calls
-
-(* Calls reserved per claim: big enough that the atomic is off the hot
-   path, small enough that an idle worker strands few calls. *)
-let claim_chunk = 64
-
-let claim p k =
-  let old = Atomic.fetch_and_add p.pool_next k in
-  if old >= p.pool_calls then 0 else min k (p.pool_calls - old)
-
 type t = {
   limits : limits;
-  pool : pool option;
   started : float;      (* clock at [start]; 0.0 when no deadline is set *)
   deadline_at : float;  (* absolute expiry; [infinity] when none *)
   mutable spent : int;
-  mutable allowance : int;  (* pool calls reserved but not yet spent *)
   mutable stopped : status option;
 }
 
-let start ?pool limits =
+let start limits =
   let started =
     match limits.deadline_s with Some _ -> !clock () | None -> 0.0
   in
   {
     limits;
-    pool;
     started;
     deadline_at =
       (match limits.deadline_s with
        | Some d -> started +. d
        | None -> infinity);
     spent = 0;
-    allowance = 0;
     stopped = None;
   }
 
-let spend t =
-  t.spent <- t.spent + 1;
-  match t.pool with None -> () | Some _ -> t.allowance <- t.allowance - 1
+let spend t = t.spent <- t.spent + 1
 
 let spent t = t.spent
 
@@ -118,14 +91,6 @@ let exhausted t =
         match t.limits.calls with Some l -> t.spent >= l | None -> false
       then Some Curtailed_lambda
       else if
-        match t.pool with
-        | Some p when t.allowance <= 0 ->
-          let got = claim p claim_chunk in
-          t.allowance <- got;
-          got = 0
-        | _ -> false
-      then Some Curtailed_lambda
-      else if
         t.limits.deadline_s <> None
         && t.spent land (check_stride - 1) = 0
         && !clock () >= t.deadline_at
@@ -137,9 +102,8 @@ let exhausted t =
 
 (* Post-hoc status: like [exhausted] but with the strided deadline gate
    dropped, so a deadline that passed between two strided clock reads is
-   reported as such instead of being misattributed.  Grants no new pool
-   allowance (the pool trips only if it is genuinely drained).  Sticky
-   like [exhausted]; reads the clock only when a deadline is set. *)
+   reported as such instead of being misattributed.  Sticky like
+   [exhausted]; reads the clock only when a deadline is set. *)
 let expiry t =
   match t.stopped with
   | Some _ as s -> s
@@ -152,11 +116,6 @@ let expiry t =
       then Some Cancelled
       else if
         match t.limits.calls with Some l -> t.spent >= l | None -> false
-      then Some Curtailed_lambda
-      else if
-        match t.pool with
-        | Some p -> t.allowance <= 0 && pool_exhausted p
-        | None -> false
       then Some Curtailed_lambda
       else if t.limits.deadline_s <> None && !clock () >= t.deadline_at then
         Some Curtailed_deadline

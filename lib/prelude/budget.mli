@@ -60,35 +60,11 @@ val set_clock : (unit -> float) -> unit
 (** Spends between deadline re-checks (a power of two). *)
 val check_stride : int
 
-(** A shared call pool: one lambda split across concurrent searchers.
-    Budgets attached to the same pool (via {!start}[ ~pool]) reserve
-    calls from it in disjoint slices with a single atomic fetch-and-add
-    per slice, so the calls granted across all attached budgets sum to
-    at most [calls] under any interleaving.  A pool-attached budget
-    reports [Curtailed_lambda] when it needs a fresh slice and the pool
-    is drained. *)
-type pool
-
-val pool : calls:int -> pool
-
-(** The pool can grant no further calls.  (Some already-granted calls
-    may still be unspent in workers' local allowances.) *)
-val pool_exhausted : pool -> bool
-
-(** Calls handed out so far (an upper bound on calls actually spent,
-    since trailing slice remainders may go unused). *)
-val pool_spent : pool -> int
-
-(** Calls reserved per pool slice (a power of two). *)
-val claim_chunk : int
-
 type t
 
-(** [start ?pool limits] begins a budget.  Reads the clock iff a
-    deadline is set.  With [~pool], call-count curtailment is driven by
-    the shared pool (leave [limits.calls] for an additional private cap,
-    or [None] for pool-only). *)
-val start : ?pool:pool -> limits -> t
+(** [start limits] begins a budget.  Reads the clock iff a deadline is
+    set. *)
+val start : limits -> t
 
 (** Record one unit of work (one Omega call). *)
 val spend : t -> unit
@@ -99,15 +75,14 @@ val spent : t -> int
 (** [exhausted t] is [Some reason] once any limit has tripped — sticky:
     after the first [Some] the same reason is returned forever without
     re-reading clock or token.  Checked in the order: cancellation, call
-    count, pool, deadline.  Never returns [Some Complete]. *)
+    count, deadline.  Never returns [Some Complete]. *)
 val exhausted : t -> status option
 
 (** [expiry t] — which limit has actually tripped, for post-hoc status
     reporting.  Identical to {!exhausted} except that the strided
     deadline gate is bypassed: a deadline that passed between two
     strided clock reads is reported as [Curtailed_deadline] instead of
-    [None].  Grants no new pool allowance.  Sticky, and reads the clock
-    only when a deadline is set. *)
+    [None].  Sticky, and reads the clock only when a deadline is set. *)
 val expiry : t -> status option
 
 (** Wall time since {!start}; [0.0] when no deadline is set (the clock is

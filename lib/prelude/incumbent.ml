@@ -1,4 +1,4 @@
-(* Shared incumbent for parallel branch-and-bound.
+(* Shared incumbent for searches racing on one block (the portfolio).
 
    The bound lives in ONE atomic int packing (nops, owner) as
    [nops * 2^owner_bits + (owner + 1)], so numeric order on the packed
@@ -7,13 +7,11 @@
    racing reader sees a bound that is at worst older (larger), so it
    prunes no subtree the freshest bound would keep.
 
-   The owner component is the deterministic tie-break: every searcher is
-   assigned a rank (its subtree's position in the serial lexicographic
-   enumeration; -1 for the seed/probe, which precedes every subtree),
-   and an equal-NOP schedule is accepted only from a lower rank.  A
-   completed search therefore converges to a timing-independent winner:
-   the lowest-ranked subtree containing an optimal schedule — i.e. the
-   same (value, schedule) at any worker count.
+   The owner component is the tie-break: every searcher is assigned a
+   rank (-1 for the seed, which precedes every searcher), and an
+   equal-NOP schedule is accepted only from a lower rank.  The value the
+   race converges to never depends on timing; which rank holds the
+   witness for it may.
 
    The payload (the best schedule itself) is guarded by a mutex; the
    atomic key is only advanced under that mutex, so the payload always

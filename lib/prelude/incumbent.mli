@@ -1,26 +1,25 @@
-(** Shared incumbent for parallel branch-and-bound searches.
+(** Shared incumbent for searches racing on one block — the portfolio's
+    branch-and-bound and propagation sides, seeded by the list schedule.
 
     An incumbent couples a lock-free {e bound} — one [Atomic.t] int
     packing the pair [(nops, owner)] so that numeric order is
     lexicographic order — with a mutex-guarded {e payload} slot holding
     the best schedule found so far.  The packed key is monotone
     decreasing, which is what makes concurrent use sound for
-    alpha-beta pruning: a worker that reads a stale key sees an {e older
-    (weaker)} bound, so it can only prune less than the freshest bound
-    would allow, never more.  The optimum is therefore never discarded
-    by racing readers.
+    alpha-beta pruning: a searcher that reads a stale key sees an
+    {e older (weaker)} bound, so it can only prune less than the
+    freshest bound would allow, never more.  The optimum is therefore
+    never discarded by racing readers.
 
-    Determinism contract.  Each searcher carries a {e task rank}: the
-    position of its subtree in the serial lexicographic enumeration of
-    the search frontier ([-1] for the seed/probe incumbent, which
-    precedes every subtree).  Equal-NOP results are resolved by rank —
+    Rank protocol.  Each searcher carries a {e rank}: [-1] for the seed,
+    which precedes every searcher, then one rank per racing side (the
+    portfolio uses [0] for the branch-and-bound and [1] for the
+    propagation solver).  Equal-NOP results are resolved by rank —
     {!admits} and {!submit} accept [(nops, task)] only when it is
     lexicographically below the current key, and {!limit} lets a
     searcher keep exploring bound-[v] ties exactly while the current
-    owner outranks it.  A completed search thus converges to the
-    lowest-ranked subtree containing an optimal schedule regardless of
-    timing or worker count, so the reported (value, schedule) pair is
-    identical at any job count. *)
+    owner outranks it.  So a lower-ranked side may still claim a tie
+    that a higher-ranked peer published first. *)
 
 (** The atomic bound alone — what the search hot path polls.  Obtained
     from {!gate}; readers never take the payload mutex. *)
@@ -30,8 +29,8 @@ type gate
     schedule, in whatever representation the caller uses). *)
 type 'a t
 
-(** Largest admissible task rank (the packed owner field's width bounds
-    it; ranks are small frontier indices in practice). *)
+(** Largest admissible rank (the packed owner field's width bounds
+    it). *)
 val max_task : int
 
 (** A fresh, empty incumbent: {!bound} is [None], {!limit} is
@@ -65,5 +64,5 @@ val admits : gate -> nops:int -> task:int -> bool
 val submit : 'a t -> nops:int -> task:int -> (unit -> 'a) -> bool
 
 (** The final [(nops, payload)], or [None] when nothing was submitted.
-    Takes the payload mutex; meant for after the workers have joined. *)
+    Takes the payload mutex; meant for after the race has joined. *)
 val best : 'a t -> (int * 'a) option

@@ -705,6 +705,56 @@ let test_verify_optimal_detects_suboptimal () =
     check bool_t "suboptimal outcome rejected" false
       (Optimal.verify_optimal machine dag fake)
 
+(* ------------------------------------------------------------------ *)
+(* The portfolio's entry point, outside the race                       *)
+
+module Incumbent = Pipesched_prelude.Incumbent
+
+let shared_case_gen =
+  QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 12))
+
+let shared_case_print (seed, n) = Printf.sprintf "seed=%d n=%d" seed n
+
+(* A random machine and block drawn from one seed. *)
+let shared_case (seed, n) =
+  let rng = Rng.create seed in
+  let m = Pipesched_synth.Generator.random_machine rng in
+  (m, Dag.of_block (random_block rng n))
+
+(* A small lambda, so both completed and curtailed searches occur. *)
+let shared_options = { Optimal.default_options with Optimal.lambda = 2_000 }
+
+let shared_alone_is_schedule =
+  qtest ~count:200 "schedule_shared with no peer is schedule" shared_case_gen
+    shared_case_print (fun case ->
+      let m, dag = shared_case case in
+      let o = Optimal.schedule ~options:shared_options m dag in
+      let s, proved =
+        Optimal.schedule_shared ~options:shared_options
+          ~shared:(Incumbent.create ()) ~rank:0 m dag
+      in
+      let timeless st = { st with Optimal.elapsed_s = 0.0 } in
+      s.Optimal.best = o.Optimal.best
+      && s.Optimal.initial = o.Optimal.initial
+      && timeless s.Optimal.stats = timeless o.Optimal.stats
+      && proved
+         = (if o.Optimal.stats.Optimal.completed then
+              Some o.Optimal.best.Omega.nops
+            else None))
+
+let shared_proves_peer_optimum =
+  qtest ~count:200 "schedule_shared proves an optimum a peer found first"
+    shared_case_gen shared_case_print (fun case ->
+      let m, dag = shared_case case in
+      let o = Optimal.schedule m dag in
+      QCheck2.assume o.Optimal.stats.Optimal.completed;
+      let shared = Incumbent.create () in
+      let opt = o.Optimal.best.Omega.nops in
+      ignore
+        (Incumbent.submit shared ~nops:opt ~task:1 (fun () -> o.Optimal.best)
+          : bool);
+      snd (Optimal.schedule_shared ~shared ~rank:0 m dag) = Some opt)
+
 let () =
   Alcotest.run "core"
     [ ( "optimality",
@@ -755,4 +805,6 @@ let () =
           Alcotest.test_case "extensions tame dot4" `Quick
             test_multi_extensions_tame_dot4;
           Alcotest.test_case "verify_optimal" `Quick
-            test_verify_optimal_detects_suboptimal ] ) ]
+            test_verify_optimal_detects_suboptimal ] );
+      ( "shared incumbent",
+        [ shared_alone_is_schedule; shared_proves_peer_optimum ] ) ]

@@ -496,6 +496,33 @@ let test_canonical_shapes () =
   check bool_t "fnv empty" true
     (Canonical.hash_string "" = (0xcbf29ce4 lsl 32) lor 0x84222325)
 
+(* Two isomorphic Load/Const/And components.  Which [Const] a
+   presentation lists first must not decide which [Load] it is paired
+   with in the canonical order: every legal reordering of the block has
+   the block's own key. *)
+let test_canonical_twin_components () =
+  let blk =
+    Block.of_tuples_exn
+      [ Tuple.make ~id:1 Op.Load (Operand.Var "a") Operand.Null;
+        Tuple.make ~id:2 Op.Const (Operand.Imm 1) Operand.Null;
+        Tuple.make ~id:3 Op.And (Operand.Ref 2) (Operand.Ref 1);
+        Tuple.make ~id:4 Op.Load (Operand.Var "b") Operand.Null;
+        Tuple.make ~id:5 Op.Const (Operand.Imm 2) Operand.Null;
+        Tuple.make ~id:6 Op.And (Operand.Ref 4) (Operand.Ref 5) ]
+  in
+  let key = (Canonical.of_block blk).Canonical.key in
+  let orders = all_legal_orders (Dag.of_block blk) in
+  check int_t "legal orders" 80 (List.length orders);
+  let differing =
+    List.filter
+      (fun order ->
+        not
+          (String.equal key
+             (Canonical.of_block (Block.permute blk order)).Canonical.key))
+      orders
+  in
+  check int_t "orders with a different key" 0 (List.length differing)
+
 let () =
   Alcotest.run "ir"
     [ ( "op",
@@ -536,6 +563,8 @@ let () =
           permute_legal_orders ] );
       ( "canonical",
         [ Alcotest.test_case "shapes" `Quick test_canonical_shapes;
+          Alcotest.test_case "twin components" `Quick
+            test_canonical_twin_components;
           canonical_invariance;
           canonical_apply_legal;
           canonical_detects_op_flip;

@@ -1,6 +1,7 @@
-(* Tests for Pipesched_parallel.Pool and the determinism contract of the
-   parallel study driver (Study.run is record-for-record identical at any
-   job count, modulo wall-clock time). *)
+(* Tests for Pipesched_parallel.Pool and the determinism contracts that
+   rest on it: the parallel study driver (Study.run is record-for-record
+   identical at any job count, modulo wall-clock time) and the search run
+   on team domains. *)
 
 open Pipesched_ir
 module Pool = Pipesched_parallel.Pool
@@ -131,137 +132,43 @@ let study_jobs_invariance =
       serial = par)
 
 (* ------------------------------------------------------------------ *)
-(* Intra-block parallel branch-and-bound: serial/parallel parity       *)
+(* One serial search, run on any domain                                *)
 
 module Optimal = Pipesched_core.Optimal
-module Omega = Pipesched_machine.Omega
 module Generator = Pipesched_synth.Generator
-module Certify = Pipesched_verify.Certify
 
-(* Ample lambda so tiny blocks complete at every job count;
-   [parallel_activation = 0] forces escalation, so every parallel case
-   actually exercises the enumerate/team path rather than finishing in
-   the serial probe. *)
-let par_options ~jobs =
-  {
-    Optimal.default_options with
-    Optimal.lambda = 400_000;
-    search_jobs = jobs;
-    parallel_activation = 0;
-  }
+(* The portfolio runs the branch-and-bound on a [Pool.team] domain, so a
+   search may share no mutable state with searches on other domains:
+   concurrent team workers must reproduce the calling domain's outcome
+   byte for byte.  lambda counts Omega calls, not time, so this holds
+   for curtailed searches too; the small lambda makes both kinds occur. *)
+let domain_options = { Optimal.default_options with Optimal.lambda = 500 }
 
-(* A (machine, block, dag) drawn from one seed.  Block sizes stay above
-   [parallel_worthwhile]'s floor of 5 so the parallel path is taken. *)
-let par_case seed n =
-  let rng = Rng.create seed in
-  let m = Generator.random_machine rng in
-  let blk = random_block rng n in
-  (m, blk, Dag.of_block blk)
+let timeless (o : Optimal.outcome) =
+  { o with Optimal.stats = { o.Optimal.stats with Optimal.elapsed_s = 0.0 } }
 
-let par_case_gen = QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 5 9))
-let par_case_print (seed, n) = Printf.sprintf "seed=%d n=%d" seed n
+(* Every entry point of the search on one (machine, block). *)
+let all_entry_points m dag =
+  let options = domain_options in
+  ( timeless (Optimal.schedule ~options m dag),
+    (let o, choices = Optimal.schedule_multi ~options m dag in
+     (timeless o, choices)),
+    Result.map timeless (Optimal.schedule_bounded ~options ~registers:3 m dag)
+  )
 
-(* Byte-identical results at any job count — the DESIGN §9 contract —
-   holds for completed searches; a curtailed parallel search may differ,
-   so byte-equality is conditioned on completion (with lambda = 400k on
-   <= 9-instruction blocks both sides always complete in practice).
-   Legality via Certify is unconditional. *)
-let parity_schedule =
-  qtest ~count:40 "schedule: parallel byte-equals serial (jobs 2, 4)"
-    par_case_gen par_case_print (fun (seed, n) ->
-      let m, blk, dag = par_case seed n in
-      let serial = Optimal.schedule ~options:(par_options ~jobs:1) m dag in
-      List.for_all
-        (fun jobs ->
-          let par = Optimal.schedule ~options:(par_options ~jobs) m dag in
-          Certify.check m blk par.Optimal.best = []
-          && (not serial.Optimal.stats.Optimal.completed
-              || (par.Optimal.stats.Optimal.completed
-                  && par.Optimal.best = serial.Optimal.best
-                  && par.Optimal.best.Omega.nops
-                     = serial.Optimal.best.Omega.nops)))
-        [ 2; 4 ])
-
-let parity_multi =
-  qtest ~count:30 "schedule_multi: parallel byte-equals serial (jobs 2, 4)"
-    par_case_gen par_case_print (fun (seed, n) ->
-      let m, blk, dag = par_case seed n in
-      let serial, s_choices =
-        Optimal.schedule_multi ~options:(par_options ~jobs:1) m dag
-      in
-      List.for_all
-        (fun jobs ->
-          let par, p_choices =
-            Optimal.schedule_multi ~options:(par_options ~jobs) m dag
-          in
-          Certify.check m blk par.Optimal.best = []
-          && (not serial.Optimal.stats.Optimal.completed
-              || (par.Optimal.stats.Optimal.completed
-                  && par.Optimal.best = serial.Optimal.best
-                  && p_choices = s_choices)))
-        [ 2; 4 ])
-
-let parity_bounded =
-  qtest ~count:30 "schedule_bounded: parallel agrees with serial (jobs 2, 4)"
-    par_case_gen par_case_print (fun (seed, n) ->
-      let m, blk, dag = par_case seed n in
-      let run jobs =
-        Optimal.schedule_bounded ~options:(par_options ~jobs) ~registers:3 m
-          dag
-      in
-      let serial = run 1 in
-      List.for_all
-        (fun jobs ->
-          match (serial, run jobs) with
-          | Ok s, Ok p ->
-            Certify.check m blk p.Optimal.best = []
-            && (not s.Optimal.stats.Optimal.completed
-                || (p.Optimal.stats.Optimal.completed
-                    && p.Optimal.best = s.Optimal.best))
-          | Error (), Error () -> true
-          | Error (), Ok p -> Certify.check m blk p.Optimal.best = []
-          | Ok s, Error () ->
-            (* Losing a feasible schedule is only excusable when the
-               serial search was itself curtailed. *)
-            not s.Optimal.stats.Optimal.completed)
-        [ 2; 4 ])
-
-let test_split_lambda_accounting () =
-  (* A shared pool carves one lambda across probe, enumeration and all
-     workers: the summed Omega calls can never exceed it, no matter how
-     the claims interleave.  Deterministic assertion — every spend
-     consumes one granted pool unit and grants sum to at most lambda. *)
-  let m, blk, dag = par_case 77 14 in
-  let lambda = 300 in
-  let options = { (par_options ~jobs:4) with Optimal.lambda } in
-  let out = Optimal.schedule ~options m dag in
-  check bool_t "summed worker calls within lambda" true
-    (out.Optimal.stats.Optimal.omega_calls <= lambda);
-  check bool_t "curtailed by lambda" true
-    (out.Optimal.stats.Optimal.completed
-     || out.Optimal.stats.Optimal.status = Budget.Curtailed_lambda);
-  check bool_t "curtailed incumbent still certifies" true
-    (Certify.check m blk out.Optimal.best = [])
-
-let test_parallel_stats_status () =
-  (* A completed parallel search reports Complete and a certified,
-     optimal-for-this-block schedule at every job count. *)
-  let m, blk, dag = par_case 4242 7 in
-  List.iter
-    (fun jobs ->
-      let out = Optimal.schedule ~options:(par_options ~jobs) m dag in
-      check bool_t
-        (Printf.sprintf "completed at jobs=%d" jobs)
-        true out.Optimal.stats.Optimal.completed;
-      check bool_t
-        (Printf.sprintf "status Complete at jobs=%d" jobs)
-        true
-        (out.Optimal.stats.Optimal.status = Budget.Complete);
-      check bool_t
-        (Printf.sprintf "certifies at jobs=%d" jobs)
-        true
-        (Certify.check m blk out.Optimal.best = []))
-    [ 1; 2; 4 ]
+let team_reproduces_serial =
+  qtest ~count:40 "team workers reproduce the serial search"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 9))
+    (fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let m = Generator.random_machine rng in
+      let dag = Dag.of_block (random_block rng n) in
+      let serial = all_entry_points m dag in
+      let jobs = 3 in
+      let slots = Array.make jobs None in
+      Pool.team ~jobs (fun i -> slots.(i) <- Some (all_entry_points m dag));
+      Array.for_all (fun got -> got = Some serial) slots)
 
 (* ------------------------------------------------------------------ *)
 (* Flattened adjacency agrees with the list API                        *)
@@ -372,12 +279,5 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "jobs 1 vs 4" `Quick test_study_jobs_1_vs_4;
           study_jobs_invariance ] );
-      ( "search parity",
-        [ parity_schedule;
-          parity_multi;
-          parity_bounded;
-          Alcotest.test_case "split-lambda accounting" `Quick
-            test_split_lambda_accounting;
-          Alcotest.test_case "parallel status/certify" `Quick
-            test_parallel_stats_status ] );
+      ("search parity", [ team_reproduces_serial ]);
       ( "adjacency", [ adjacency_agreement ] ) ]

@@ -444,56 +444,6 @@ let test_budget_unlimited () =
   done;
   check bool_t "never exhausted" true (Budget.exhausted b = None)
 
-(* ------------------------------------------------------------------ *)
-(* Budget pools: one lambda split across workers                       *)
-
-(* Spend from a pool-attached budget until it refuses; count the spends. *)
-let drain_pool_budget pool =
-  let b = Budget.start ~pool Budget.unlimited in
-  let n = ref 0 in
-  let stop = ref false in
-  while not !stop do
-    match Budget.exhausted b with
-    | Some _ -> stop := true
-    | None ->
-      Budget.spend b;
-      incr n
-  done;
-  (!n, Budget.exhausted b)
-
-let test_pool_single_exact () =
-  (* A single consumer gets exactly [calls] spends — chunked claims must
-     not round the total up or down. *)
-  List.iter
-    (fun calls ->
-      let pool = Budget.pool ~calls in
-      let n, reason = drain_pool_budget pool in
-      check int_t (Printf.sprintf "exact at calls=%d" calls) calls n;
-      check bool_t "reason is lambda" true
-        (reason = Some Budget.Curtailed_lambda);
-      check bool_t "pool exhausted" true (Budget.pool_exhausted pool))
-    [ 0; 1; 63; 64; 65; 1000 ]
-
-let test_pool_split_never_overgrants () =
-  (* Several concurrent workers draining one pool: the spends must sum
-     to at most [calls] under any interleaving (and to exactly [calls]
-     when every worker drains to refusal, since refused workers leave no
-     allowance stranded). *)
-  let calls = 10_000 in
-  let pool = Budget.pool ~calls in
-  let counts = Array.make 4 0 in
-  let domains =
-    List.init 4 (fun w ->
-        Domain.spawn (fun () ->
-            let n, _ = drain_pool_budget pool in
-            counts.(w) <- n))
-  in
-  List.iter Domain.join domains;
-  let total = Array.fold_left ( + ) 0 counts in
-  check int_t "spends sum to lambda" calls total;
-  check bool_t "pool exhausted" true (Budget.pool_exhausted pool);
-  check bool_t "pool_spent >= granted" true (Budget.pool_spent pool = calls)
-
 let test_budget_expiry_unstrided_deadline () =
   let now = ref 0.0 in
   Budget.set_clock (fun () -> !now)
@@ -977,9 +927,6 @@ let () =
           Alcotest.test_case "no deadline, no clock" `Quick
             test_budget_no_deadline_never_reads_clock;
           Alcotest.test_case "unlimited" `Quick test_budget_unlimited;
-          Alcotest.test_case "pool single exact" `Quick test_pool_single_exact;
-          Alcotest.test_case "pool split never overgrants" `Quick
-            test_pool_split_never_overgrants;
           Alcotest.test_case "expiry unstrided deadline" `Quick
             test_budget_expiry_unstrided_deadline;
           Alcotest.test_case "expiry lambda only when tripped" `Quick
