@@ -1,44 +1,51 @@
-type t = { arr : Tuple.t array; pos : (int, int) Hashtbl.t }
+(* Positions by tuple id.  Ids are small and usually dense, so the
+   identity hash spreads them over the buckets at no cost. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
 
-let build arr =
-  let pos = Hashtbl.create (Array.length arr * 2) in
-  Array.iteri (fun i (tu : Tuple.t) -> Hashtbl.replace pos tu.id i) arr;
-  { arr; pos }
+  let equal = Int.equal
+  let hash id = id
+end)
 
-let validate (ts : Tuple.t list) =
-  let seen = Hashtbl.create 16 in
-  let check_tuple (tu : Tuple.t) =
-    if Hashtbl.mem seen tu.id then
-      Error (Printf.sprintf "duplicate tuple id %d" tu.id)
-    else
-      let bad_ref =
-        List.find_opt
-          (fun r ->
-            match Hashtbl.find_opt seen r with
-            | None -> true (* undefined or forward reference *)
-            | Some produces -> not produces)
-          (Tuple.value_refs tu)
-      in
-      match bad_ref with
-      | Some r ->
-        Error
-          (Printf.sprintf "tuple %d references %d, which is %s" tu.id r
-             (if Hashtbl.mem seen r then "not a value-producing tuple"
-              else "undefined or defined later"))
-      | None ->
-        Hashtbl.replace seen tu.id (Tuple.produces_value tu);
-        Ok ()
-  in
-  let rec go = function
-    | [] -> Ok ()
-    | tu :: rest -> ( match check_tuple tu with Ok () -> go rest | e -> e)
-  in
-  go ts
+type t = { arr : Tuple.t array; pos : int Ids.t }
 
+(* Validation builds the position table as it goes: a [Ref] must name
+   an id already in the table, and the tuple there must produce a
+   value. *)
 let of_tuples ts =
-  match validate ts with
-  | Ok () -> Ok (build (Array.of_list ts))
-  | Error _ as e -> e
+  let arr = Array.of_list ts in
+  let n = Array.length arr in
+  let pos = Ids.create (2 * n) in
+  let bad_ref = function
+    | Operand.Ref r -> (
+      match Ids.find_opt pos r with
+      | None -> Some (r, "undefined or defined later")
+      | Some i when not (Tuple.produces_value arr.(i)) ->
+        Some (r, "not a value-producing tuple")
+      | Some _ -> None)
+    | Operand.Var _ | Operand.Imm _ | Operand.Null -> None
+  in
+  let rec go i =
+    if i = n then Ok { arr; pos }
+    else
+      let tu = arr.(i) in
+      if Ids.mem pos tu.Tuple.id then
+        Error (Printf.sprintf "duplicate tuple id %d" tu.Tuple.id)
+      else
+        match
+          match bad_ref tu.Tuple.a with
+          | None -> bad_ref tu.Tuple.b
+          | bad -> bad
+        with
+        | Some (r, what) ->
+          Error
+            (Printf.sprintf "tuple %d references %d, which is %s" tu.Tuple.id
+               r what)
+        | None ->
+          Ids.replace pos tu.Tuple.id i;
+          go (i + 1)
+  in
+  go 0
 
 let of_tuples_exn ts =
   match of_tuples ts with
@@ -49,8 +56,7 @@ let tuples b = Array.copy b.arr
 let length b = Array.length b.arr
 let tuple_at b i = b.arr.(i)
 
-let pos_of_id b id =
-  match Hashtbl.find_opt b.pos id with Some i -> i | None -> raise Not_found
+let pos_of_id b id = Ids.find b.pos id
 
 let find b id = b.arr.(pos_of_id b id)
 
@@ -94,7 +100,14 @@ let pp fmt b =
       Tuple.pp fmt tu)
     b.arr
 
-let to_string b = Format.asprintf "%a" pp b
+let to_string b =
+  let buf = Buffer.create (16 * Array.length b.arr) in
+  Array.iteri
+    (fun i tu ->
+      if i > 0 then Buffer.add_char buf '\n';
+      Tuple.to_buffer buf tu)
+    b.arr;
+  Buffer.contents buf
 
 let parse text =
   let rec go lineno acc = function

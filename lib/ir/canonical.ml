@@ -9,11 +9,9 @@ let hash_string s =
   (* FNV-1a, 64-bit arithmetic on OCaml's native int (the top bit is
      lost; irrelevant — consumers compare full keys, never only hashes). *)
   let h = ref ((0xcbf29ce4 lsl 32) lor 0x84222325) in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x100000001b3)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
+  done;
   !h
 
 let op_index =
@@ -27,102 +25,186 @@ let kind_index = function
   | Dag.Mem_anti -> 2
   | Dag.Mem_output -> 3
 
+(* Sorts [a.(0 .. len-1)] ascending in place.  Neighbour lists are
+   short, so insertion sort; a long one (a value read by many tuples)
+   falls back to [Array.sort] rather than go quadratic. *)
+let sort_prefix a len =
+  if len <= 16 then
+    for i = 1 to len - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let s = Array.sub a 0 len in
+    Array.sort Int.compare s;
+    Array.blit s 0 a 0 len
+  end
+
+(* Scratch space of one canonicalization, sized to the block. *)
+type scratch = {
+  next : int array;  (** the colors of the round being computed *)
+  edge_hash : int array;
+      (** [Hashtbl.hash (k, color u)] at [k * n + u] this round, or [-1]
+          before it is first needed *)
+  buf : int array;  (** sort space: any neighbour list fits in [n] *)
+  seen : int array;
+      (** open-addressing set of colors, a power of two of at least [2n]
+          slots; [-1] is empty (colors are [Hashtbl.hash] values, never
+          negative) *)
+}
+
+let scratch n =
+  let slots = ref 1 in
+  while !slots < 2 * n do
+    slots := 2 * !slots
+  done;
+  { next = Array.make n 0; edge_hash = Array.make (4 * n) (-1);
+    buf = Array.make n 0; seen = Array.make !slots (-1) }
+
 (* ------------------------------------------------------------------ *)
 (* Refinement: Weisfeiler-Leman colors over the DAG.                   *)
 
-(* Refines [color] in place. *)
-let refine dag color =
+(* Number of distinct colors.  Colors are hash values, so their low
+   bits index the set directly. *)
+let distinct sc color =
+  let seen = sc.seen in
+  let mask = Array.length seen - 1 in
+  Array.fill seen 0 (mask + 1) (-1);
+  let c = ref 0 in
+  Array.iter
+    (fun x ->
+      let i = ref (x land mask) in
+      while seen.(!i) >= 0 && seen.(!i) <> x do
+        i := (!i + 1) land mask
+      done;
+      if seen.(!i) < 0 then begin
+        seen.(!i) <- x;
+        incr c
+      end)
+    color;
+  !c
+
+(* The sorted list of [Hashtbl.hash (kind, color u)] over one side's
+   neighbours [u].  A node meets the same (kind, color) from each of its
+   neighbours, so each hash is computed once per round. *)
+let side sc color nbrs kinds =
+  let d = Array.length nbrs in
   let n = Array.length color in
-  let distinct colors =
-    let seen = Hashtbl.create (2 * n) in
-    Array.iter (fun c -> Hashtbl.replace seen c ()) colors;
-    Hashtbl.length seen
-  in
-  let classes = ref (distinct color) in
+  let buf = sc.buf in
+  for i = 0 to d - 1 do
+    let u = nbrs.(i) and k = kind_index kinds.(i) in
+    let slot = (k * n) + u in
+    let h = sc.edge_hash.(slot) in
+    buf.(i) <-
+      (if h >= 0 then h
+       else begin
+         let h = Hashtbl.hash (k, color.(u)) in
+         sc.edge_hash.(slot) <- h;
+         h
+       end)
+  done;
+  sort_prefix buf d;
+  let l = ref [] in
+  for i = d - 1 downto 0 do
+    l := buf.(i) :: !l
+  done;
+  !l
+
+(* Refines [color] in place. *)
+let refine dag sc color =
+  let n = Array.length color in
+  let next = sc.next in
   (* Each round folds in one more hop of structure; [n] rounds always
      suffice, and the class count is monotone, so stop as soon as a
      round fails to split any class. *)
-  let rec go round =
-    if round >= n then ()
-    else begin
-      let next =
-        Array.init n (fun v ->
-            let side edges =
-              let a =
-                Array.map
-                  (fun u ->
-                    let k =
-                      match Dag.edge_kind dag u v with
-                      | Some k -> kind_index k
-                      | None -> (
-                        match Dag.edge_kind dag v u with
-                        | Some k -> kind_index k
-                        | None -> 4)
-                    in
-                    Hashtbl.hash (k, color.(u)))
-                  edges
-              in
-              Array.sort compare a;
-              Array.to_list a
-            in
-            Hashtbl.hash
-              (color.(v), side (Dag.preds_arr dag v), side (Dag.succs_arr dag v)))
-      in
-      Array.blit next 0 color 0 n;
-      let c = distinct color in
-      if c > !classes then begin
-        classes := c;
-        go (round + 1)
-      end
+  let classes = ref (distinct sc color) in
+  let round = ref 0 in
+  while !round < n do
+    Array.fill sc.edge_hash 0 (4 * n) (-1);
+    for v = 0 to n - 1 do
+      let ps = side sc color (Dag.preds_arr dag v) (Dag.pred_kinds dag v) in
+      let ss = side sc color (Dag.succs_arr dag v) (Dag.succ_kinds dag v) in
+      next.(v) <- Hashtbl.hash (color.(v), ps, ss)
+    done;
+    Array.blit next 0 color 0 n;
+    let c = distinct sc color in
+    if c > !classes then begin
+      classes := c;
+      incr round
     end
-  in
-  go 0
+    else round := n
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Canonical order: greedy Kahn, least invariant key first.            *)
 
-let canonical_order dag opix color =
+(* Lexicographic comparison of [a.(i .. i+la-1)] and [a.(j .. j+lb-1)];
+   a proper prefix is the lesser. *)
+let compare_codes a i la j lb =
+  let m = min la lb in
+  let k = ref 0 in
+  while !k < m && a.(i + !k) = a.(j + !k) do
+    incr k
+  done;
+  if !k < m then Int.compare a.(i + !k) a.(j + !k) else Int.compare la lb
+
+let canonical_order dag sc opix color =
   let n = Array.length opix in
   let placed = Array.make n (-1) in
   let perm = Array.make n 0 in
-  let indeg = Array.init n (fun v -> Array.length (Dag.preds_arr dag v)) in
-  (* The key of a ready node: canonical positions of its (already
-     placed) predecessors tagged with edge kinds, then its refined
-     color, then its op.  All components are isomorphism invariants. *)
-  let key v =
-    let ps =
-      Array.map
-        (fun u ->
-          let k =
-            match Dag.edge_kind dag u v with
-            | Some k -> kind_index k
-            | None -> 4
-          in
-          (placed.(u) * 8) + k)
-        (Dag.preds_arr dag v)
-    in
-    Array.sort compare ps;
-    (Array.to_list ps, color.(v), opix.(v))
+  let deg = Array.init n (fun v -> Array.length (Dag.preds_arr dag v)) in
+  let indeg = Array.copy deg in
+  (* The key of a ready node: the canonical positions of its (already
+     placed) predecessors tagged with edge kinds, sorted; then its
+     refined color; then its op.  All components are isomorphism
+     invariants; keys compare lexicographically.  The first component
+     is fixed once the node is ready, so it is written once, into
+     [codes] at [off.(v)]. *)
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v) + deg.(v)
+  done;
+  let codes = Array.make off.(n) 0 in
+  let write_codes v =
+    let ps = Dag.preds_arr dag v and ks = Dag.pred_kinds dag v in
+    for i = 0 to deg.(v) - 1 do
+      sc.buf.(i) <- (placed.(ps.(i)) * 8) + kind_index ks.(i)
+    done;
+    sort_prefix sc.buf deg.(v);
+    Array.blit sc.buf 0 codes off.(v) deg.(v)
+  in
+  let compare_keys v w =
+    let c = compare_codes codes off.(v) deg.(v) off.(w) deg.(w) in
+    if c <> 0 then c
+    else
+      let c = Int.compare color.(v) color.(w) in
+      if c <> 0 then c else Int.compare opix.(v) opix.(w)
   in
   (* Twins — tied nodes with the same successors over the same edge
      kinds — are swapped by an automorphism fixing every other node, so
      either pick yields the same canonical block.  (A tie already means
      the same op and the same predecessors.) *)
   let twins v w =
-    Dag.succs_arr dag v = Dag.succs_arr dag w
-    && Array.for_all
-         (fun s -> Dag.edge_kind dag v s = Dag.edge_kind dag w s)
-         (Dag.succs_arr dag v)
+    let sv = Dag.succs_arr dag v and sw = Dag.succs_arr dag w in
+    let kv = Dag.succ_kinds dag v and kw = Dag.succ_kinds dag w in
+    let rec same i =
+      i = Array.length sv
+      || (sv.(i) = sw.(i) && kv.(i) = kw.(i) && same (i + 1))
+    in
+    Array.length sv = Array.length sw && same 0
   in
   for j = 0 to n - 1 do
-    let best = ref (-1) and best_key = ref ([], 0, 0) and tied = ref [] in
+    let best = ref (-1) and tied = ref [] in
     for v = 0 to n - 1 do
       if placed.(v) < 0 && indeg.(v) = 0 then begin
-        let k = key v in
-        let c = if !best < 0 then -1 else compare k !best_key in
+        let c = if !best < 0 then -1 else compare_keys v !best in
         if c < 0 then begin
           best := v;
-          best_key := k;
           tied := []
         end
         else if c = 0 then tied := v :: !tied
@@ -131,7 +213,11 @@ let canonical_order dag opix color =
     let v = !best in
     placed.(v) <- j;
     perm.(j) <- v;
-    Array.iter (fun w -> indeg.(w) <- indeg.(w) - 1) (Dag.succs_arr dag v);
+    Array.iter
+      (fun w ->
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then write_codes w)
+      (Dag.succs_arr dag v);
     (* Other ties stop being interchangeable once one is placed: the
        next picks must follow the placed node's neighbourhood, not the
        input order (in [Load a; Const; And; Load b; Const; And] the
@@ -140,7 +226,7 @@ let canonical_order dag opix color =
        position through the DAG. *)
     if List.exists (fun w -> not (twins v w)) !tied then begin
       color.(v) <- Hashtbl.hash (color.(v), j);
-      refine dag color
+      refine dag sc color
     end
   done;
   (perm, placed)
@@ -172,13 +258,14 @@ let materialize dag blk placed perm =
     end
   in
   for v = 0 to n - 1 do
-    Array.iter
-      (fun u ->
-        match Dag.edge_kind dag u v with
-        | Some (Dag.Mem_flow | Dag.Mem_anti | Dag.Mem_output) ->
+    let ks = Dag.pred_kinds dag v in
+    Array.iteri
+      (fun i u ->
+        match ks.(i) with
+        | Dag.Mem_flow | Dag.Mem_anti | Dag.Mem_output ->
           let ru = find u and rv = find v in
           if ru <> rv then parent.(ru) <- rv
-        | Some Dag.Data | None -> ())
+        | Dag.Data -> ())
       (Dag.preds_arr dag v)
   done;
   let grouped = Array.make n false in
@@ -189,24 +276,28 @@ let materialize dag blk placed perm =
       grouped.(v) <- true
     end
   done;
-  let names = Hashtbl.create 8 in
+  (* Group [r]'s name, once its first member is emitted. *)
+  let group_name = Array.make n "" and groups = ref 0 in
+  let tagged c k =
+    let buf = Buffer.create 4 in
+    Buffer.add_char buf c;
+    Pipesched_prelude.Decimal.add_int buf k;
+    Buffer.contents buf
+  in
+  (* The canonical variable of the memory op at original position [v],
+     emitted at canonical position [j]. *)
   let var_name j v =
-    let tu = Block.tuple_at blk v in
-    match Tuple.memory_var tu with
-    | None -> None
-    | Some _ ->
-      let r = find v in
-      if grouped.(r) then begin
-        match Hashtbl.find_opt names r with
-        | Some nm -> Some nm
-        | None ->
-          let nm = Printf.sprintf "s%d" (Hashtbl.length names) in
-          Hashtbl.replace names r nm;
-          Some nm
-      end
-      else if Tuple.writes_memory tu then
-        Some (Printf.sprintf "w%d" j)
-      else Some (Printf.sprintf "l%d" j)
+    let r = find v in
+    if grouped.(r) then begin
+      if group_name.(r) = "" then begin
+        group_name.(r) <- tagged 's' !groups;
+        incr groups
+      end;
+      Operand.Var group_name.(r)
+    end
+    else if (Block.tuple_at blk v).Tuple.op = Op.Store then
+      Operand.Var (tagged 'w' j)
+    else Operand.Var (tagged 'l' j)
   in
   let canon_ref id = placed.(Block.pos_of_id blk id) + 1 in
   let value = function
@@ -223,14 +314,9 @@ let materialize dag blk placed perm =
         let id = j + 1 in
         match tu.Tuple.op with
         | Op.Const -> Tuple.make ~id Op.Const (Operand.Imm 0) Operand.Null
-        | Op.Load ->
-          Tuple.make ~id Op.Load
-            (Operand.Var (Option.get (var_name j v)))
-            Operand.Null
+        | Op.Load -> Tuple.make ~id Op.Load (var_name j v) Operand.Null
         | Op.Store ->
-          Tuple.make ~id Op.Store
-            (Operand.Var (Option.get (var_name j v)))
-            (value tu.Tuple.b)
+          Tuple.make ~id Op.Store (var_name j v) (value tu.Tuple.b)
         | op when Op.value_arity op = 1 ->
           Tuple.make ~id op (value tu.Tuple.a) Operand.Null
         | op ->
@@ -262,8 +348,9 @@ let of_dag dag =
   let n = Dag.length dag in
   let opix = Array.init n (fun i -> op_index (Block.tuple_at blk i).Tuple.op) in
   let color = Array.map (fun o -> Hashtbl.hash (0x9e37, o)) opix in
-  refine dag color;
-  let perm, placed = canonical_order dag opix color in
+  let sc = scratch n in
+  refine dag sc color;
+  let perm, placed = canonical_order dag sc opix color in
   let cblk = materialize dag blk placed perm in
   let key = Block.to_string cblk in
   { block = cblk; perm; key; hash = hash_string key }

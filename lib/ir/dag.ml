@@ -5,74 +5,97 @@ type edge_kind = Data | Mem_flow | Mem_anti | Mem_output
 (* Adjacency is stored flattened as sorted [int array]s: the search
    kernels (Omega.State, Optimal) iterate predecessors and successors on
    every push/pop, and arrays keep that traversal allocation-free and
-   cache-friendly.  The list accessors below are derived views. *)
+   cache-friendly.  Each edge's kind sits in an array aligned with its
+   adjacency array, so [pred_kinds.(v).(i)] is the kind of the edge
+   [preds.(v).(i) -> v].  The list accessors below are derived views. *)
 type t = {
   blk : Block.t;
   preds : int array array;
   succs : int array array;
-  kinds : (int * int, edge_kind) Hashtbl.t;
+  pred_kinds : edge_kind array array;
+  succ_kinds : edge_kind array array;
   ancestors : Bitset.t array;
   descendants : Bitset.t array;
 }
 
-let add_edge kinds edges u v kind =
-  if u <> v && not (Hashtbl.mem kinds (u, v)) then begin
-    Hashtbl.replace kinds (u, v) kind;
-    edges := (u, v) :: !edges
-  end
+(* Per-variable memory state of the block-order scan. *)
+type mem = { mutable last_store : int; mutable loads_since : int list }
 
 let of_block blk =
   let n = Block.length blk in
-  let kinds = Hashtbl.create (n * 4) in
-  let edges = ref [] in
-  (* Data dependences via Ref operands. *)
-  for v = 0 to n - 1 do
-    let tu = Block.tuple_at blk v in
-    List.iter
-      (fun id -> add_edge kinds edges (Block.pos_of_id blk id) v Data)
-      (Tuple.value_refs tu)
-  done;
-  (* Memory dependences, per variable, in block order. *)
-  let last_store = Hashtbl.create 8 in
-  let loads_since = Hashtbl.create 8 in
-  for v = 0 to n - 1 do
-    let tu = Block.tuple_at blk v in
-    match Tuple.memory_var tu with
-    | None -> ()
-    | Some x ->
-      if Tuple.writes_memory tu then begin
-        (match Hashtbl.find_opt last_store x with
-         | Some s -> add_edge kinds edges s v Mem_output
-         | None -> ());
-        List.iter
-          (fun l -> add_edge kinds edges l v Mem_anti)
-          (Option.value ~default:[] (Hashtbl.find_opt loads_since x));
-        Hashtbl.replace last_store x v;
-        Hashtbl.replace loads_since x []
-      end
-      else begin
-        (match Hashtbl.find_opt last_store x with
-         | Some s -> add_edge kinds edges s v Mem_flow
-         | None -> ());
-        let prev = Option.value ~default:[] (Hashtbl.find_opt loads_since x) in
-        Hashtbl.replace loads_since x (v :: prev)
-      end
-  done;
-  let pred_lists = Array.make n [] and succ_lists = Array.make n [] in
-  List.iter
-    (fun (u, v) ->
-      pred_lists.(v) <- u :: pred_lists.(v);
-      succ_lists.(u) <- v :: succ_lists.(u))
-    !edges;
-  let freeze lists =
-    Array.map
-      (fun l ->
-        let a = Array.of_list l in
-        Array.sort compare a;
-        a)
-      lists
+  (* Every edge into [v] is recorded while [v] is scanned: its data
+     edges first, then its memory edges.  [mark.(u) = v] once [u -> v]
+     is recorded, so the first kind recorded for an edge wins; the
+     in-edges are kept sorted by source in the [src]/[knd] scratch. *)
+  let mark = Array.make n (-1) in
+  let src = Array.make n 0 and knd = Array.make n Data in
+  let deg = ref 0 in
+  let add_edge u v kind =
+    if u <> v && mark.(u) <> v then begin
+      mark.(u) <- v;
+      let i = ref !deg in
+      while !i > 0 && src.(!i - 1) > u do
+        src.(!i) <- src.(!i - 1);
+        knd.(!i) <- knd.(!i - 1);
+        decr i
+      done;
+      src.(!i) <- u;
+      knd.(!i) <- kind;
+      incr deg
+    end
   in
-  let preds = freeze pred_lists and succs = freeze succ_lists in
+  let data v = function
+    | Operand.Ref id -> add_edge (Block.pos_of_id blk id) v Data
+    | Operand.Var _ | Operand.Imm _ | Operand.Null -> ()
+  in
+  let mems = Hashtbl.create 8 in
+  let preds = Array.make n [||] and pred_kinds = Array.make n [||] in
+  for v = 0 to n - 1 do
+    deg := 0;
+    let tu = Block.tuple_at blk v in
+    (* Data dependences via Ref operands, left operand first. *)
+    data v tu.Tuple.a;
+    data v tu.Tuple.b;
+    (* Memory dependences, per variable, in block order. *)
+    (match (tu.Tuple.op, tu.Tuple.a) with
+     | (Op.Load | Op.Store), Operand.Var x ->
+       let m =
+         match Hashtbl.find_opt mems x with
+         | Some m -> m
+         | None ->
+           let m = { last_store = -1; loads_since = [] } in
+           Hashtbl.replace mems x m;
+           m
+       in
+       if tu.Tuple.op = Op.Store then begin
+         if m.last_store >= 0 then add_edge m.last_store v Mem_output;
+         List.iter (fun l -> add_edge l v Mem_anti) m.loads_since;
+         m.last_store <- v;
+         m.loads_since <- []
+       end
+       else begin
+         if m.last_store >= 0 then add_edge m.last_store v Mem_flow;
+         m.loads_since <- v :: m.loads_since
+       end
+     | _ -> ());
+    preds.(v) <- Array.sub src 0 !deg;
+    pred_kinds.(v) <- Array.sub knd 0 !deg
+  done;
+  (* Successors, filled in increasing consumer order, come out sorted. *)
+  let outdeg = Array.make n 0 in
+  Array.iter (Array.iter (fun u -> outdeg.(u) <- outdeg.(u) + 1)) preds;
+  let succs = Array.map (fun d -> Array.make d 0) outdeg in
+  let succ_kinds = Array.map (fun d -> Array.make d Data) outdeg in
+  Array.fill outdeg 0 n 0;
+  for v = 0 to n - 1 do
+    Array.iteri
+      (fun i u ->
+        let j = outdeg.(u) in
+        succs.(u).(j) <- v;
+        succ_kinds.(u).(j) <- pred_kinds.(v).(i);
+        outdeg.(u) <- j + 1)
+      preds.(v)
+  done;
   (* Transitive closures.  Block order is a topological order, so a single
      forward pass computes ancestors and a backward pass descendants. *)
   let ancestors = Array.init n (fun _ -> Bitset.create n) in
@@ -91,7 +114,7 @@ let of_block blk =
         Bitset.union_into ~into:descendants.(u) descendants.(v))
       succs.(u)
   done;
-  { blk; preds; succs; kinds; ancestors; descendants }
+  { blk; preds; succs; pred_kinds; succ_kinds; ancestors; descendants }
 
 let block d = d.blk
 let length d = Array.length d.preds
@@ -99,7 +122,26 @@ let preds d i = Array.to_list d.preds.(i)
 let succs d i = Array.to_list d.succs.(i)
 let preds_arr d i = d.preds.(i)
 let succs_arr d i = d.succs.(i)
-let edge_kind d u v = Hashtbl.find_opt d.kinds (u, v)
+let pred_kinds d i = d.pred_kinds.(i)
+let succ_kinds d i = d.succ_kinds.(i)
+
+let edge_kind d u v =
+  if u < 0 || u >= length d then None
+  else begin
+    (* Binary search of [u]'s sorted successors. *)
+    let s = d.succs.(u) in
+    let rec find lo hi =
+      if lo >= hi then None
+      else
+        let mid = (lo + hi) / 2 in
+        let w = s.(mid) in
+        if w = v then Some d.succ_kinds.(u).(mid)
+        else if w < v then find (mid + 1) hi
+        else find lo mid
+    in
+    find 0 (Array.length s)
+  end
+
 let ancestors d i = d.ancestors.(i)
 let descendants d i = d.descendants.(i)
 let earliest d i = Bitset.cardinal d.ancestors.(i)
@@ -154,18 +196,21 @@ let to_dot d =
       (Printf.sprintf "  n%d [label=%S];\n" i
          (Tuple.to_string (Block.tuple_at d.blk i)))
   done;
-  Hashtbl.iter
-    (fun (u, v) kind ->
-      let style, label =
-        match kind with
-        | Data -> ("solid", "")
-        | Mem_flow -> ("dashed", "flow")
-        | Mem_anti -> ("dashed", "anti")
-        | Mem_output -> ("dashed", "out")
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d -> n%d [style=%s, label=%S];\n" u v style
-           label))
-    d.kinds;
+  Array.iteri
+    (fun u succs ->
+      Array.iteri
+        (fun i v ->
+          let style, label =
+            match d.succ_kinds.(u).(i) with
+            | Data -> ("solid", "")
+            | Mem_flow -> ("dashed", "flow")
+            | Mem_anti -> ("dashed", "anti")
+            | Mem_output -> ("dashed", "out")
+          in
+          Buffer.add_string buf
+            (Printf.sprintf "  n%d -> n%d [style=%s, label=%S];\n" u v style
+               label))
+        succs)
+    d.succs;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -9,7 +9,9 @@
 
     All edge classes constrain scheduling identically in the paper's model
     (the consumer must wait for the producer's pipeline latency); the class
-    is recorded for inspection and tests.
+    is recorded, in arrays aligned with the adjacency arrays, for
+    canonicalization ({!Canonical}), inspection and tests.  When a data
+    and a memory dependence join the same pair, the data kind is kept.
 
     The module also provides the paper's [earliest]/[latest] position bounds
     (Definitions 6 and 7) used by the quick legality check [5a]. *)
@@ -44,7 +46,17 @@ val preds_arr : t -> int -> int array
     array.  Do not mutate. *)
 val succs_arr : t -> int -> int array
 
-(** [edge_kind d u v] is the kind of edge [u -> v], if present. *)
+(** Edge kinds aligned with {!preds_arr}: [(pred_kinds d v).(i)] is the
+    kind of the edge [(preds_arr d v).(i) -> v].  O(1), no allocation.
+    Do not mutate. *)
+val pred_kinds : t -> int -> edge_kind array
+
+(** Edge kinds aligned with {!succs_arr}: [(succ_kinds d u).(i)] is the
+    kind of the edge [u -> (succs_arr d u).(i)].  Do not mutate. *)
+val succ_kinds : t -> int -> edge_kind array
+
+(** [edge_kind d u v] is the kind of edge [u -> v], if present: a
+    binary search of [u]'s successors. *)
 val edge_kind : t -> int -> int -> edge_kind option
 
 (** All transitive ancestors of a position, as a bitset (do not mutate). *)

@@ -81,8 +81,23 @@ let to_string = function
   | Shr -> "Shr"
 
 let of_string s =
-  let s = String.lowercase_ascii s in
-  List.find_opt (fun op -> String.lowercase_ascii (to_string op) = s) all
+  match String.lowercase_ascii s with
+  | "const" -> Some Const
+  | "load" -> Some Load
+  | "store" -> Some Store
+  | "mov" -> Some Mov
+  | "add" -> Some Add
+  | "sub" -> Some Sub
+  | "mul" -> Some Mul
+  | "div" -> Some Div
+  | "mod" -> Some Mod
+  | "neg" -> Some Neg
+  | "and" -> Some And
+  | "or" -> Some Or
+  | "xor" -> Some Xor
+  | "shl" -> Some Shl
+  | "shr" -> Some Shr
+  | _ -> None
 
 let pp fmt op = Format.pp_print_string fmt (to_string op)
 let equal (a : t) b = a = b

@@ -6,11 +6,20 @@ let var_name = function Var v -> Some v | Ref _ | Imm _ | Null -> None
 let equal (a : t) b = a = b
 let compare (a : t) b = Stdlib.compare a b
 
-let to_string = function
-  | Var v -> "#" ^ v
-  | Ref i -> "t" ^ string_of_int i
-  | Imm n -> string_of_int n
-  | Null -> "_"
+let to_buffer buf = function
+  | Var v ->
+    Buffer.add_char buf '#';
+    Buffer.add_string buf v
+  | Ref i ->
+    Buffer.add_char buf 't';
+    Pipesched_prelude.Decimal.add_int buf i
+  | Imm n -> Pipesched_prelude.Decimal.add_int buf n
+  | Null -> Buffer.add_char buf '_'
+
+let to_string o =
+  let buf = Buffer.create 8 in
+  to_buffer buf o;
+  Buffer.contents buf
 
 let pp fmt o = Format.pp_print_string fmt (to_string o)
 

@@ -21,6 +21,9 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+(** [to_buffer buf o] appends the {!to_string} text of [o] to [buf]. *)
+val to_buffer : Buffer.t -> t -> unit
+
 (** Inverse of {!to_string}: ["#v"] is a variable, ["tN"] a reference,
     an integer an immediate, ["_"] the null operand. *)
 val of_string : string -> t option

@@ -9,7 +9,8 @@ let shape_ok op a b =
   | Op.Const -> (match a, b with Operand.Imm _, Operand.Null -> true | _ -> false)
   | Op.Load -> (match a, b with Operand.Var _, Operand.Null -> true | _ -> false)
   | Op.Store -> (match a with Operand.Var _ -> is_value b | _ -> false)
-  | Op.Mov | Op.Neg -> is_value a && b = Operand.Null
+  | Op.Mov | Op.Neg -> (
+    is_value a && match b with Operand.Null -> true | _ -> false)
   | Op.Add | Op.Sub | Op.Mul | Op.Div | Op.Mod | Op.And | Op.Or | Op.Xor
   | Op.Shl | Op.Shr ->
     is_value a && is_value b
@@ -35,17 +36,22 @@ let produces_value t = t.op <> Op.Store
 
 let equal (x : t) y = x = y
 
-let to_string t =
+let to_buffer buf t =
+  Pipesched_prelude.Decimal.add_int buf t.id;
+  Buffer.add_string buf ": ";
+  Buffer.add_string buf (Op.to_string t.op);
+  Buffer.add_char buf ' ';
+  Operand.to_buffer buf t.a;
   match t.op with
-  | Op.Const | Op.Load ->
-    Printf.sprintf "%d: %s %s" t.id (Op.to_string t.op)
-      (Operand.to_string t.a)
-  | Op.Mov | Op.Neg ->
-    Printf.sprintf "%d: %s %s" t.id (Op.to_string t.op)
-      (Operand.to_string t.a)
+  | Op.Const | Op.Load | Op.Mov | Op.Neg -> ()
   | _ ->
-    Printf.sprintf "%d: %s %s, %s" t.id (Op.to_string t.op)
-      (Operand.to_string t.a) (Operand.to_string t.b)
+    Buffer.add_string buf ", ";
+    Operand.to_buffer buf t.b
+
+let to_string t =
+  let buf = Buffer.create 24 in
+  to_buffer buf t;
+  Buffer.contents buf
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

@@ -34,6 +34,9 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+(** [to_buffer buf t] appends the {!to_string} text of [t] to [buf]. *)
+val to_buffer : Buffer.t -> t -> unit
+
 (** Inverse of {!to_string} (["4: Mul t1, t3"]); validates the shape like
     {!make}.  [Error msg] on malformed input. *)
 val of_string : string -> (t, string) result

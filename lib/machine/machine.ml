@@ -5,9 +5,36 @@ type t = {
   pipes : Pipe.t array;
   table : (Op.t * int list) list; (* original mapping, for printing *)
   candidates : Op.t -> int list;
+  fingerprint : string;
 }
 
+let render_fingerprint pipes candidates =
+  (* Everything scheduling observes, nothing it does not: pipe
+     parameters in id order (labels and the machine name are cosmetic)
+     and the op -> candidate-pipe map with ops in declaration order.
+     Candidate order is preserved — [default_pipe] is the first
+     candidate, so it is semantically load-bearing. *)
+  let buf = Buffer.create 64 in
+  Array.iter
+    (fun (p : Pipe.t) ->
+      Buffer.add_string buf
+        (Printf.sprintf "p%d,%d;" p.Pipe.latency p.Pipe.enqueue))
+    pipes;
+  List.iter
+    (fun op ->
+      match candidates op with
+      | [] -> ()
+      | pids ->
+        Buffer.add_string buf
+          (Printf.sprintf "%s:%s;" (Op.to_string op)
+             (String.concat "," (List.map string_of_int pids))))
+    Op.all;
+  Buffer.contents buf
+
 let make ~name pipes ~assign =
+  (* A private copy: the fingerprint below must keep describing the
+     pipes this machine schedules with. *)
+  let pipes = Array.copy pipes in
   let npipes = Array.length pipes in
   let tbl = Hashtbl.create 16 in
   List.iter
@@ -23,7 +50,8 @@ let make ~name pipes ~assign =
       Hashtbl.replace tbl op pids)
     assign;
   let candidates op = Option.value ~default:[] (Hashtbl.find_opt tbl op) in
-  { name; pipes; table = assign; candidates }
+  { name; pipes; table = assign; candidates;
+    fingerprint = render_fingerprint pipes candidates }
 
 let name m = m.name
 let pipes m = Array.copy m.pipes
@@ -39,28 +67,7 @@ let latency m op =
   | None -> 1
   | Some pid -> (pipe m pid).Pipe.latency
 
-let fingerprint m =
-  (* Everything scheduling observes, nothing it does not: pipe
-     parameters in id order (labels and the machine name are cosmetic)
-     and the op -> candidate-pipe map with ops in declaration order.
-     Candidate order is preserved — [default_pipe] is the first
-     candidate, so it is semantically load-bearing. *)
-  let buf = Buffer.create 64 in
-  Array.iter
-    (fun (p : Pipe.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "p%d,%d;" p.Pipe.latency p.Pipe.enqueue))
-    m.pipes;
-  List.iter
-    (fun op ->
-      match m.candidates op with
-      | [] -> ()
-      | pids ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s:%s;" (Op.to_string op)
-             (String.concat "," (List.map string_of_int pids))))
-    Op.all;
-  Buffer.contents buf
+let fingerprint m = m.fingerprint
 
 type diagnostic =
   | No_pipes

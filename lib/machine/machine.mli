@@ -48,7 +48,7 @@ val latency : t -> Op.t -> int
     op-to-candidate-pipes map (candidate {e order} included, since the
     first candidate is the default pipe).  Names and pipe labels are
     ignored.  Used with {!Pipesched_ir.Canonical} as the schedule-cache
-    key. *)
+    key.  Rendered once by {!make}; this returns the stored string. *)
 val fingerprint : t -> string
 
 (** {2 Validation}

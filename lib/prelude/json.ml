@@ -29,7 +29,7 @@ let escape_into buf s =
 let rec print_into buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> Decimal.add_int buf i
   | Float f ->
     (* JSON has no NaN/Infinity; clamp to null like most encoders. *)
     if Float.is_nan f || Float.abs f = Float.infinity then

@@ -234,9 +234,11 @@ let schedule_request t id req =
              bug or an armed [solver] chaos fault — is confined to this
              request.  The fault key is the request text itself, so a
              verdict is reproducible yet a client retry carrying a
-             distinct attempt marker gets a fresh draw. *)
+             distinct attempt marker gets a fresh draw.  The text is
+             only rendered when the site is armed. *)
           match
-            Fault.guard Fault.Solver ~key:(Json.to_string req);
+            if Fault.armed Fault.Solver then
+              Fault.guard Fault.Solver ~key:(Json.to_string req);
             let options =
               { Optimal.default_options with Optimal.lambda; deadline_s }
             in

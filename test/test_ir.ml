@@ -18,6 +18,26 @@ let test_op_roundtrip () =
     Op.all;
   check bool_t "unknown" true (Op.of_string "Bogus" = None)
 
+let test_op_of_string_case () =
+  List.iter
+    (fun op ->
+      let name = Op.to_string op in
+      let mixed =
+        String.mapi
+          (fun i c ->
+            if i mod 2 = 0 then Char.uppercase_ascii c
+            else Char.lowercase_ascii c)
+          name
+      in
+      List.iter
+        (fun text -> check bool_t text true (Op.of_string text = Some op))
+        [ String.lowercase_ascii name; String.uppercase_ascii name; mixed ])
+    Op.all;
+  List.iter
+    (fun text ->
+      check bool_t (Printf.sprintf "%S" text) true (Op.of_string text = None))
+    [ ""; "loadx"; "lo ad" ]
+
 let test_op_arity () =
   check int_t "const" 0 (Op.value_arity Op.Const);
   check int_t "load" 0 (Op.value_arity Op.Load);
@@ -159,6 +179,18 @@ let test_block_permute () =
 (* ------------------------------------------------------------------ *)
 (* Text round-trips                                                    *)
 
+(* Blocks drawn with their seed, so a property can derive further
+   random presentations of the same block. *)
+let seeded_block_gen =
+  QCheck2.Gen.(
+    pair (int_bound 1_000_000) (int_range 1 14)
+    |> map (fun (seed, n) ->
+           let rng = Rng.create seed in
+           (random_block rng n, seed)))
+
+let seeded_print (blk, seed) =
+  Printf.sprintf "seed %d:\n%s" seed (Block.to_string blk)
+
 let test_operand_roundtrip () =
   List.iter
     (fun o ->
@@ -193,6 +225,84 @@ let block_text_roundtrip =
       match Block.parse (Block.to_string blk) with
       | Ok blk' -> Block.equal blk blk'
       | Error _ -> false)
+
+(* Reference rendering through [Printf] per tuple and [Format] per
+   block: the text format the buffer renderers must match byte for
+   byte. *)
+let model_operand = function
+  | Operand.Var v -> "#" ^ v
+  | Operand.Ref i -> "t" ^ string_of_int i
+  | Operand.Imm n -> string_of_int n
+  | Operand.Null -> "_"
+
+let model_tuple (t : Tuple.t) =
+  match t.Tuple.op with
+  | Op.Const | Op.Load | Op.Mov | Op.Neg ->
+    Printf.sprintf "%d: %s %s" t.Tuple.id (Op.to_string t.Tuple.op)
+      (model_operand t.Tuple.a)
+  | _ ->
+    Printf.sprintf "%d: %s %s, %s" t.Tuple.id (Op.to_string t.Tuple.op)
+      (model_operand t.Tuple.a) (model_operand t.Tuple.b)
+
+let model_block blk =
+  Format.asprintf "%a"
+    (fun fmt b ->
+      Array.iteri
+        (fun i tu ->
+          if i > 0 then Format.pp_print_newline fmt ();
+          Format.pp_print_string fmt (model_tuple tu))
+        (Block.tuples b))
+    blk
+
+(* Re-dress a block with extreme immediates (negative, [min_int],
+   [max_int]) and, sometimes, variable names longer than a line. *)
+let extreme_presentation rng blk =
+  let imm = function
+    | Operand.Imm k ->
+      Operand.Imm
+        (Rng.choose rng [| -k - 1; min_int; max_int; -1; k; -1000000007 |])
+    | o -> o
+  in
+  let long = Rng.bool rng in
+  let var = function
+    | Operand.Var x when long -> Operand.Var (x ^ String.make 90 'v')
+    | o -> o
+  in
+  Block.of_tuples_exn
+    (Array.to_list (Block.tuples blk)
+    |> List.map (fun (tu : Tuple.t) ->
+           Tuple.make ~id:tu.Tuple.id tu.Tuple.op
+             (var (imm tu.Tuple.a))
+             (imm tu.Tuple.b)))
+
+let rendering_matches_model =
+  qtest ~count:300 "to_string matches the Format/Printf model"
+    seeded_block_gen seeded_print
+    (fun (blk, seed) ->
+      let blk' = extreme_presentation (Rng.create seed) blk in
+      List.for_all
+        (fun b ->
+          String.equal (Block.to_string b) (model_block b)
+          && Array.for_all
+               (fun tu -> String.equal (Tuple.to_string tu) (model_tuple tu))
+               (Block.tuples b))
+        [ blk; blk' ])
+
+let test_rendering_edges () =
+  let empty = Block.of_tuples_exn [] in
+  check Alcotest.string "empty block" (model_block empty)
+    (Block.to_string empty);
+  check Alcotest.string "empty block is empty" "" (Block.to_string empty);
+  let blk =
+    Block.of_tuples_exn
+      [ tu ~id:(-3) Op.Const (Operand.Imm min_int) Operand.Null;
+        tu ~id:7 Op.Sub (Operand.Imm (-12)) (Operand.Ref (-3));
+        tu ~id:8 Op.Store (Operand.Var "x") (Operand.Imm max_int);
+        tu ~id:9 Op.Mov (Operand.Ref 7) Operand.Null;
+        tu ~id:10 Op.Shl (Operand.Ref 9) (Operand.Imm (-1)) ]
+  in
+  check Alcotest.string "negative ids, immediates, unary Mov" (model_block blk)
+    (Block.to_string blk)
 
 let test_block_parse_diagnostics () =
   (match Block.parse "1: Const 1\n\n# a comment\n2: Neg t1" with
@@ -247,6 +357,80 @@ let test_dag_memory_kinds () =
   check bool_t "flow 2->3" true (Dag.edge_kind dag 2 3 = Some Dag.Mem_flow);
   (* no edge from load 1 to load 3 *)
   check bool_t "load-load independent" true (Dag.edge_kind dag 1 3 = None)
+
+(* The dependence rules, as a model: data edges first, then per
+   variable in block order flow (store -> later load), output (store ->
+   next store) and anti (loads since the last store -> store) edges; the
+   first kind recorded for a pair wins; no self-edges. *)
+let model_kinds blk =
+  let n = Block.length blk in
+  let kinds = Hashtbl.create 16 in
+  let add u v k =
+    if u <> v && not (Hashtbl.mem kinds (u, v)) then
+      Hashtbl.replace kinds (u, v) k
+  in
+  for v = 0 to n - 1 do
+    List.iter
+      (fun id -> add (Block.pos_of_id blk id) v Dag.Data)
+      (Tuple.value_refs (Block.tuple_at blk v))
+  done;
+  let last_store = Hashtbl.create 8 and loads = Hashtbl.create 8 in
+  for v = 0 to n - 1 do
+    let t = Block.tuple_at blk v in
+    match Tuple.memory_var t with
+    | None -> ()
+    | Some x ->
+      let since = Option.value ~default:[] (Hashtbl.find_opt loads x) in
+      if Tuple.writes_memory t then begin
+        Option.iter
+          (fun s -> add s v Dag.Mem_output)
+          (Hashtbl.find_opt last_store x);
+        List.iter (fun l -> add l v Dag.Mem_anti) since;
+        Hashtbl.replace last_store x v;
+        Hashtbl.replace loads x []
+      end
+      else begin
+        Option.iter
+          (fun s -> add s v Dag.Mem_flow)
+          (Hashtbl.find_opt last_store x);
+        Hashtbl.replace loads x (v :: since)
+      end
+  done;
+  kinds
+
+let dag_kinds_match_model =
+  qtest ~count:300 "kind arrays and edge_kind match the model"
+    QCheck2.Gen.(
+      triple (int_bound 1_000_000) (int_range 0 16) (int_range 1 4))
+    (fun (seed, n, nvars) ->
+      Printf.sprintf "seed %d n %d vars %d:\n%s" seed n nvars
+        (Block.to_string (random_block_with (Rng.create seed) n nvars)))
+    (fun (seed, n, nvars) ->
+      let blk = random_block_with (Rng.create seed) n nvars in
+      let dag = Dag.of_block blk in
+      let model = model_kinds blk in
+      let side ~pred v =
+        List.filter_map
+          (fun w ->
+            let e = if pred then (w, v) else (v, w) in
+            Option.map (fun k -> (w, k)) (Hashtbl.find_opt model e))
+          (List.init n Fun.id)
+      in
+      let arrays nbrs kinds =
+        List.combine (Array.to_list nbrs) (Array.to_list kinds)
+      in
+      List.for_all
+        (fun v ->
+          arrays (Dag.preds_arr dag v) (Dag.pred_kinds dag v)
+          = side ~pred:true v
+          && arrays (Dag.succs_arr dag v) (Dag.succ_kinds dag v)
+             = side ~pred:false v
+          && List.for_all
+               (fun w -> Dag.edge_kind dag v w = Hashtbl.find_opt model (v, w))
+               (-1 :: n :: List.init n Fun.id))
+        (List.init n Fun.id)
+      && Dag.edge_kind dag (-1) 0 = None
+      && Dag.edge_kind dag n 0 = None)
 
 let test_earliest_latest () =
   let dag = Dag.of_block (fig3 ()) in
@@ -344,16 +528,6 @@ let permute_legal_orders =
 
 (* ------------------------------------------------------------------ *)
 (* Canonical: isomorphism-stable form and hash.                        *)
-
-let seeded_block_gen =
-  QCheck2.Gen.(
-    pair (int_bound 1_000_000) (int_range 1 14)
-    |> map (fun (seed, n) ->
-           let rng = Rng.create seed in
-           (random_block rng n, seed)))
-
-let seeded_print (blk, seed) =
-  Printf.sprintf "seed %d:\n%s" seed (Block.to_string blk)
 
 (* Canonicalization is invariant under any composition of topological
    reordering and relabeling, and idempotent (the canonical block is its
@@ -523,10 +697,47 @@ let test_canonical_twin_components () =
   in
   check int_t "orders with a different key" 0 (List.length differing)
 
+(* The exact bytes of every canonical form.  Changing this digest
+   changes every schedule-cache key and every study/fuzz dedup class, so
+   it may only move in a change that means to re-key them; a speed-up of
+   the canonicalizer must leave it alone. *)
+let canonical_golden_digest =
+  "a1d36812b89a49842848a584218770f3"
+
+let test_canonical_golden () =
+  let module Generator = Pipesched_synth.Generator in
+  let module Schedule = Pipesched_synth.Schedule in
+  let rng = Rng.create 15 in
+  let buf = Buffer.create (1 lsl 20) in
+  let record blk =
+    let c = Canonical.of_block blk in
+    Buffer.add_string buf c.Canonical.key;
+    Buffer.add_char buf '\x00';
+    Array.iter
+      (fun p ->
+        Buffer.add_string buf (string_of_int p);
+        Buffer.add_char buf ',')
+      c.Canonical.perm;
+    Buffer.add_char buf '\x00';
+    Buffer.add_string buf (string_of_int c.Canonical.hash);
+    Buffer.add_char buf '\n'
+  in
+  for i = 0 to 1999 do
+    let blk = Generator.of_seed (Schedule.seed_at ~seed:15 i) in
+    record blk;
+    record (random_topo_reorder rng blk);
+    record (random_relabel rng blk)
+  done;
+  check Alcotest.string "digest of key, perm and hash"
+    canonical_golden_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "ir"
     [ ( "op",
         [ Alcotest.test_case "roundtrip" `Quick test_op_roundtrip;
+          Alcotest.test_case "of_string any case" `Quick
+            test_op_of_string_case;
           Alcotest.test_case "arity" `Quick test_op_arity;
           Alcotest.test_case "eval" `Quick test_op_eval;
           Alcotest.test_case "pure" `Quick test_op_pure;
@@ -549,11 +760,15 @@ let () =
           Alcotest.test_case "tuple parse" `Quick test_tuple_parse;
           block_text_roundtrip;
           Alcotest.test_case "parse diagnostics" `Quick
-            test_block_parse_diagnostics ] );
+            test_block_parse_diagnostics;
+          rendering_matches_model;
+          Alcotest.test_case "rendering edge cases" `Quick
+            test_rendering_edges ] );
       ( "dag",
         [ Alcotest.test_case "edges (fig 3)" `Quick test_dag_edges;
           Alcotest.test_case "memory edge kinds" `Quick
             test_dag_memory_kinds;
+          dag_kinds_match_model;
           Alcotest.test_case "earliest/latest (fig 3)" `Quick
             test_earliest_latest;
           Alcotest.test_case "heights" `Quick test_heights_critical_path;
@@ -568,4 +783,6 @@ let () =
           canonical_invariance;
           canonical_apply_legal;
           canonical_detects_op_flip;
-          canonical_detects_edge_add ] ) ]
+          canonical_detects_edge_add;
+          Alcotest.test_case "golden digest" `Quick test_canonical_golden ]
+      ) ]

@@ -879,6 +879,21 @@ let json_escape_strictness =
       | Ok _ -> well_formed
       | Error _ -> not well_formed)
 
+(* [Int] writes its digits straight into the output buffer; the bytes
+   must be those of [string_of_int], sign and [min_int] included. *)
+let test_json_int_pinned () =
+  List.iter
+    (fun i ->
+      check Alcotest.string (string_of_int i) (string_of_int i)
+        (Json.to_string (Json.Int i)))
+    [ 0; -1; 1; 9; 10; -10; max_int; min_int; max_int - 1; min_int + 1 ]
+
+let json_int_digits =
+  qtest ~count:1000 "Int renders like string_of_int"
+    QCheck2.Gen.(oneof [ int; small_signed_int ])
+    string_of_int
+    (fun i -> String.equal (Json.to_string (Json.Int i)) (string_of_int i))
+
 let () =
   Alcotest.run "prelude"
     [ ( "bitset",
@@ -963,4 +978,6 @@ let () =
           Alcotest.test_case "strict unicode escapes" `Quick
             test_json_strict_unicode_escape;
           json_print_parse_roundtrip;
-          json_escape_strictness ] ) ]
+          json_escape_strictness;
+          Alcotest.test_case "int digits pinned" `Quick test_json_int_pinned;
+          json_int_digits ] ) ]
