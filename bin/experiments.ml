@@ -74,9 +74,11 @@ let run_mega ~count ~seed ~lambda ~jobs ~certify ~shards
     if progress then prerr_newline ();
     Format.printf "Mega study: %d blocks over %d shards (seed %d)@." count
       (Mega.effective_shards cfg) seed;
-    Format.printf "this run: %d searched (+%d resumed) in %.1fs = %.1f blocks/s@."
+    Format.printf
+      "this run: %d searched (+%d resumed) in %.1fs = %.1f blocks/s, max RSS \
+       ratio %.2f@."
       stats.Mega.processed stats.Mega.resumed stats.Mega.wall_s
-      stats.Mega.blocks_per_s;
+      stats.Mega.blocks_per_s stats.Mega.max_rss_ratio;
     Aggregate.pp Format.std_formatter agg;
     let line = Aggregate.render agg ^ "\n" in
     (match mega_out with

@@ -14,6 +14,7 @@ open Pipesched_machine
 open Pipesched_sched
 open Pipesched_core
 module Rng = Pipesched_prelude.Rng
+module Json = Pipesched_prelude.Json
 module Generator = Pipesched_synth.Generator
 module Certify = Pipesched_verify.Certify
 
@@ -213,22 +214,7 @@ let shrink ~run_case machine blk =
   go blk
 
 (* ------------------------------------------------------------------ *)
-(* Repro files (hand-rolled JSON, as in bench/main.ml).               *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Repro files                                                         *)
 
 let ensure_dir dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
@@ -239,26 +225,25 @@ let write_repro ~dir ~master_seed ~cases ~case ~case_seed machine blk shrunk
     violations =
   ensure_dir dir;
   let path = Filename.concat dir (Printf.sprintf "fuzz-repro-%d.json" case_seed) in
+  let violation (label, msg) =
+    Json.Assoc
+      [ ("scheduler", Json.String label); ("message", Json.String msg) ]
+  in
+  let repro =
+    Json.Assoc
+      [ ("schema", Json.Int 2);
+        ("master_seed", Json.Int master_seed);
+        ("cases", Json.Int cases);
+        ("case", Json.Int case);
+        ("case_seed", Json.Int case_seed);
+        ("machine", Json.String (Machine.to_text machine));
+        ("block", Json.String (Block.to_string blk));
+        ("shrunk_block", Json.String (Block.to_string shrunk));
+        ("violations", Json.List (List.map violation violations)) ]
+  in
   let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": 2,\n";
-  p "  \"master_seed\": %d,\n" master_seed;
-  p "  \"cases\": %d,\n" cases;
-  p "  \"case\": %d,\n" case;
-  p "  \"case_seed\": %d,\n" case_seed;
-  p "  \"machine\": \"%s\",\n" (json_escape (Machine.to_text machine));
-  p "  \"block\": \"%s\",\n" (json_escape (Block.to_string blk));
-  p "  \"shrunk_block\": \"%s\",\n" (json_escape (Block.to_string shrunk));
-  p "  \"violations\": [\n";
-  List.iteri
-    (fun i (label, msg) ->
-      p "    { \"scheduler\": \"%s\", \"message\": \"%s\" }%s\n"
-        (json_escape label) (json_escape msg)
-        (if i = List.length violations - 1 then "" else ","))
-    violations;
-  p "  ]\n";
-  p "}\n";
+  output_string oc (Json.to_string repro);
+  output_char oc '\n';
   close_out oc;
   path
 

@@ -2,6 +2,7 @@ open Pipesched_ir
 open Pipesched_machine
 module Budget = Pipesched_prelude.Budget
 module Incumbent = Pipesched_prelude.Incumbent
+module Json = Pipesched_prelude.Json
 module Pool = Pipesched_parallel.Pool
 module Solve_cp = Pipesched_solve.Cp
 
@@ -90,21 +91,6 @@ let shrink ?options ?entry machine blk =
   in
   go blk
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_repro ~dir machine blk shrunk ~bnb_nops ~cp_nops =
   (if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
    else if not (Sys.is_directory dir) then
@@ -114,18 +100,19 @@ let write_repro ~dir machine blk shrunk ~bnb_nops ~cp_nops =
   let path =
     Filename.concat dir (Printf.sprintf "portfolio-repro-%d.json" tag)
   in
+  let nops = function Some v -> Json.Int v | None -> Json.Null in
+  let repro =
+    Json.Assoc
+      [ ("schema", Json.Int 1);
+        ("machine", Json.String (Machine.to_text machine));
+        ("block", Json.String (Block.to_string blk));
+        ("shrunk_block", Json.String (Block.to_string shrunk));
+        ("bnb_nops", nops bnb_nops);
+        ("cp_nops", nops cp_nops) ]
+  in
   let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": 1,\n";
-  p "  \"machine\": \"%s\",\n" (json_escape (Machine.to_text machine));
-  p "  \"block\": \"%s\",\n" (json_escape (Block.to_string blk));
-  p "  \"shrunk_block\": \"%s\",\n" (json_escape (Block.to_string shrunk));
-  p "  \"bnb_nops\": %s,\n"
-    (match bnb_nops with Some v -> string_of_int v | None -> "null");
-  p "  \"cp_nops\": %s\n"
-    (match cp_nops with Some v -> string_of_int v | None -> "null");
-  p "}\n";
+  output_string oc (Json.to_string repro);
+  output_char oc '\n';
   close_out oc;
   path
 

@@ -21,7 +21,7 @@
     count, machine, lambda) — wall-clock times and dedup-cache hit
     counts are excluded, because times vary run to run and cache hits
     depend on how duplicates land across shards and LRU evictions.
-    [render] is the byte-identity artifact the bench and CI compare
+    [render] is the byte-identity artifact CI compares
     across shard counts and across kill/resume runs.  {!to_json} /
     {!of_json} serialize the {e full} state (including time histograms)
     for checkpoints. *)

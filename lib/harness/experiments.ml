@@ -737,7 +737,7 @@ let print_portfolio_study ?(seed = 1990) ?(count = 80) ?(lambda = 50_000)
 
 let run_all ?(seed = 1990) ?(count = 16_000) ?lambda ?strong ?memo
     ?deadline_s ?block_deadline_s ?jobs ?strict ?certify ?backend ?progress
-    ?study fmt =
+    fmt =
   Format.fprintf fmt
     "Reproduction: Nisar & Dietz, Optimal Code Scheduling for \
      Multiple-Pipeline Processors (1990)@.";
@@ -745,11 +745,8 @@ let run_all ?(seed = 1990) ?(count = 16_000) ?lambda ?strong ?memo
   print_table6 fmt;
   print_table1 fmt ();
   let study =
-    match study with
-    | Some s -> s
-    | None ->
-      run_study ~seed ~count ?lambda ?strong ?memo ?deadline_s
-        ?block_deadline_s ?jobs ?strict ?certify ?backend ?progress ()
+    run_study ~seed ~count ?lambda ?strong ?memo ?deadline_s
+      ?block_deadline_s ?jobs ?strict ?certify ?backend ?progress ()
   in
   print_table7 fmt study;
   print_fig1 fmt study;

@@ -134,12 +134,11 @@ val print_portfolio_study :
     [jobs] is threaded to the main study, the ablation, and the machine
     and structure sweeps; [deadline_s] / [block_deadline_s] deadline the
     main study (see {!run_study}); [backend] selects the main study's
-    scheduler (see {!run_study}).  Pass [study] to reuse records already
-    computed (the bench harness does, to time the study separately). *)
+    scheduler (see {!run_study}). *)
 val run_all :
   ?seed:int -> ?count:int -> ?lambda:int -> ?strong:bool ->
   ?memo:Pipesched_core.Optimal.memo_options ->
   ?deadline_s:float -> ?block_deadline_s:float -> ?jobs:int ->
   ?strict:bool -> ?certify:bool -> ?backend:string ->
   ?progress:(int -> unit) ->
-  ?study:study -> Format.formatter -> unit
+  Format.formatter -> unit

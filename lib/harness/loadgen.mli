@@ -12,8 +12,8 @@
     latency (and ultimately drops), never as a silently throttled
     offered rate — the coordinated-omission trap of closed-loop
     clients.  The serial {!run_sync} driver is the closed-loop
-    exception used for in-process bench evidence, where the interesting
-    output is per-stage handling latency, not queueing.
+    exception used for in-process replays in tests, where the
+    interesting output is per-stage handling latency, not queueing.
 
     Every response is classified by {b stage} — answered from the
     schedule cache ({!Hit}), freshly solved to completion ({!Fresh}),
@@ -208,6 +208,6 @@ val pp_report : Format.formatter -> report -> unit
     each line goes through [handle] (e.g.
     [fun l -> Some (Server.handle_line server l)]) with its latency
     measured around the call; [None] counts as {!Dropped}.  Ignores
-    event times (closed loop) — this is the bench/test driver.  The
+    event times (closed loop) — this is the test driver.  The
     open-loop socket client lives in [bin/pipesched_load]. *)
 val run_sync : handle:(string -> string option) -> plan -> report

@@ -292,7 +292,7 @@ let agg_fingerprint agg = Canonical.hash_string (Aggregate.render agg)
 (* ------------------------------------------------------------------ *)
 (* Worker                                                              *)
 
-(* Crash injection for the kill-and-resume bench/CI smoke:
+(* Crash injection for the kill-and-resume CI smoke:
    PIPESCHED_MEGA_CRASH="<shard>:<n>" SIGKILLs that shard's worker the
    moment its absolute progress reaches [n] blocks — mid-stream, between
    checkpoints. *)
@@ -312,8 +312,8 @@ let crash_spec () =
 let worker_main cfg ~shard ~resume =
   validate cfg;
   if cfg.jobs > 1 then
-    (* Domains make minor GCs stop-the-world barriers; same tuning as
-       the bench harness. *)
+    (* Domains make minor GCs stop-the-world barriers, so larger minor
+       heaps (4M words = 32 MB) mean fewer of them. *)
     Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
   let machine = resolve_machine cfg in
   let lo, hi = shard_range cfg shard in

@@ -73,7 +73,7 @@ val min_shard_blocks : int
     [cfg.shards] clamped to [max 1 (cfg.count / min_shard_blocks)].
     {!run} warns on stderr when the clamp engages.  Result-transparent
     (the aggregate is byte-identical at any shard count); exposed so
-    the bench can report requested vs effective. *)
+    callers can report requested vs effective. *)
 val effective_shards : config -> int
 
 (** Progress snapshot passed to the [?progress] callback (invoked
@@ -94,8 +94,8 @@ type stats = {
   blocks_per_s : float;  (** [processed / wall_s] *)
   max_rss_ratio : float;
       (** max over shards of final worker RSS / RSS at its first
-          checkpoint — the bench's flat-memory evidence; [0.] when
-          unavailable (no /proc) *)
+          checkpoint — the flat-memory evidence [--mega] prints and CI
+          bounds; [0.] when unavailable (no /proc) *)
 }
 
 (** [run ?exe ?progress ~resume cfg] drives a full mega study and
@@ -121,7 +121,7 @@ val run :
     process (0 on success).  Host binaries call this before any other
     argv parsing; it returns immediately in a normal invocation.
 
-    Crash injection (for the kill-and-resume bench and CI smoke): with
+    Crash injection (for the kill-and-resume CI smoke): with
     [PIPESCHED_MEGA_CRASH="<shard>:<n>"] in the environment, that
     shard's worker SIGKILLs itself the moment its {e shard-relative}
     progress reaches [n] blocks — mid-stream, deliberately between

@@ -19,14 +19,10 @@
     domain runs serially in that worker instead of spawning further
     domains, so no lock ordering between pools can deadlock. *)
 
-(** [default_jobs ()] is the worker count used when [?jobs] is omitted:
-    the value of the [PIPESCHED_JOBS] environment variable when set to a
-    positive integer, otherwise [Domain.recommended_domain_count ()]. *)
-val default_jobs : unit -> int
-
 (** [resolve_jobs jobs] normalizes an optional CLI-style job count:
-    [Some j] clamps to at least 1, [None] falls back to
-    {!default_jobs}. *)
+    [Some j] clamps to at least 1; [None] falls back to the
+    [PIPESCHED_JOBS] environment variable when it holds a positive
+    integer, otherwise to [Domain.recommended_domain_count ()]. *)
 val resolve_jobs : int option -> int
 
 (** Raised by {!parallel_map} / {!map_reduce} when the [?cancel] token

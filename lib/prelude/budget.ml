@@ -40,9 +40,10 @@ type limits = {
 
 let unlimited = { calls = None; deadline_s = None; cancel = None }
 
-(* Overridable so a harness with a true monotonic clock (e.g. bechamel's)
-   can install it; the default is wall time, which is monotonic enough for
-   coarse search deadlines.  Install before any budgets are started. *)
+(* Overridable so a caller with a true monotonic clock (or a test with a
+   fake one) can install it; the default is wall time, which is monotonic
+   enough for coarse search deadlines.  Install before any budgets are
+   started. *)
 let clock = ref Unix.gettimeofday
 
 let set_clock f = clock := f

@@ -38,7 +38,7 @@ val is_cancelled : token -> bool
 type status = Complete | Curtailed_lambda | Curtailed_deadline | Cancelled
 
 (** Exact variant name, e.g. ["Curtailed_deadline"] — stable, grep-able
-    spelling used by CLI output and the benchmark JSON. *)
+    spelling used by CLI output and the daemon's JSON responses. *)
 val status_to_string : status -> string
 
 val is_complete : status -> bool
@@ -54,7 +54,7 @@ val unlimited : limits
 
 (** Replace the clock used for deadlines (default [Unix.gettimeofday]).
     Call once at startup, before any budget is started — e.g. to install
-    a true monotonic clock from a benchmarking harness. *)
+    a true monotonic clock, or a test's fake clock. *)
 val set_clock : (unit -> float) -> unit
 
 (** Spends between deadline re-checks (a power of two). *)

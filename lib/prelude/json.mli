@@ -1,6 +1,6 @@
 (** Minimal JSON tree, printer and parser — just enough for the
-    [pipesched_server] line protocol and the bench/fuzz evidence files,
-    with no external dependency.
+    [pipesched_server] line protocol, mega-study checkpoints and the
+    fuzz and portfolio repro files, with no external dependency.
 
     The printer emits compact single-line JSON (the framing of the line
     protocol) with full string escaping.  The parser is a strict

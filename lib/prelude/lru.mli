@@ -11,8 +11,7 @@
     Eviction is strict least-recently-used: {!find} hits and {!put}
     (insert or replace) both move the entry to the most-recent end;
     inserting into a full cache drops the least-recent entry.  Hits,
-    misses and evictions are counted for the server's stats line and the
-    bench evidence. *)
+    misses and evictions are counted for the server's stats line. *)
 
 type 'v t
 

@@ -68,8 +68,8 @@ let int_array a = Json.List (Array.to_list (Array.map (fun i -> Json.Int i) a))
 
 (* [cached] is [Some _] only when the request opted in with
    ["detail": true]: the extra field would otherwise break the
-   byte-identity of cached and fresh responses, which the bench and the
-   parity tests assert.  [degraded] marks answers produced by the list
+   byte-identity of cached and fresh responses, which the parity tests
+   and perfbench's hot-answer check assert.  [degraded] marks answers produced by the list
    scheduler instead of the optimal search — always explicit, so a
    client can never mistake a degraded schedule for an optimal one. *)
 let render id ~order (r : Omega.result) ~completed ~status ~degraded ~cached =

@@ -487,7 +487,16 @@ let test_mega_validate () =
              check int_t "contiguous" prev lo;
              hi)
            0 ranges))
-    [ (100, 3); (7, 4); (1, 1); (0, 2); (1000, 7) ]
+    [ (100, 3); (7, 4); (1, 1); (0, 2); (1000, 7) ];
+  (* Below 64 blocks per shard the per-shard process overhead outweighs
+     the parallelism, so requests are clamped (DESIGN.md §11). *)
+  List.iter
+    (fun (count, shards, expected) ->
+      check int_t
+        (Printf.sprintf "effective shards for %d blocks over %d" count shards)
+        expected
+        (Mega.effective_shards { Mega.default with Mega.count = count; shards }))
+    [ (100, 4, 1); (255, 4, 3); (256, 4, 4); (0, 2, 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* Keyed histograms                                                    *)

@@ -108,6 +108,72 @@ let exact_backends_agree =
           [ "cp"; "portfolio" ])
 
 (* ------------------------------------------------------------------ *)
+(* Each exact backend is needed                                        *)
+
+(* Two committed blocks, each proved by one exact backend while the
+   other is still curtailed, so no fixed backend choice serves both and
+   the portfolio must prove both.  Count budgets only (Omega calls for
+   bnb, decisions + conflicts for cp), no deadline: the verdicts do not
+   depend on the host's speed.
+
+   The cp-favoured block weaves 8 mutually independent multiplies with
+   6 independent loads.  Free-slot equivalence cannot collapse piped
+   instructions, so the branch-and-bound tree is genuinely large (bnb is
+   still curtailed after 500,000 Omega calls), while cp's packing bound
+   proves the optimum within 2,000 decisions + conflicts.  The
+   bnb-favoured block is generator seed 28 on a random machine: bnb
+   proves it in about 560,000 Omega calls, while cp is curtailed at
+   2,000 and still at 2,000,000, tens of seconds later. *)
+let weave_mul8_load6 =
+  let mul i id = Tuple.make ~id Op.Mul (Operand.Imm i) (Operand.Imm (i + 1)) in
+  let load j id =
+    Tuple.make ~id Op.Load (Operand.Var (Printf.sprintf "v%d" j)) Operand.Null
+  in
+  let rec weave a b =
+    match (a, b) with
+    | [], r | r, [] -> r
+    | x :: xs, y :: ys -> x :: y :: weave xs ys
+  in
+  Dag.of_block
+    (Block.of_tuples_exn
+       (List.mapi
+          (fun k x ->
+            let id = k + 1 in
+            match x with `M i -> mul i id | `L j -> load j id)
+          (weave
+             (List.init 8 (fun i -> `M (i + 1)))
+             (List.init 6 (fun j -> `L (j + 1))))))
+
+let each_exact_backend_is_needed () =
+  let module Generator = Pipesched_synth.Generator in
+  let run name ~lambda m dag =
+    let (module B : Scheduler.S) = backend name in
+    B.schedule
+      ~options:{ Optimal.default_options with Optimal.lambda }
+      m dag
+  in
+  let proves what expected (o : Scheduler.outcome) =
+    Alcotest.(check (option int)) (what ^ " proves") (Some expected)
+      o.Scheduler.proved
+  in
+  let curtailed what (o : Scheduler.outcome) =
+    Alcotest.(check (option int)) (what ^ " proves nothing") None
+      o.Scheduler.proved;
+    Alcotest.(check string) (what ^ " status") "Curtailed_lambda"
+      (Budget.status_to_string o.Scheduler.status)
+  in
+  let weave = weave_mul8_load6 in
+  proves "weave: cp at 2,000" 1 (run "cp" ~lambda:2_000 machine weave);
+  curtailed "weave: bnb at 500,000" (run "bnb" ~lambda:500_000 machine weave);
+  let seed28 = Dag.of_block (Generator.of_seed 28) in
+  let m28 = Generator.random_machine (Pipesched_prelude.Rng.create (28 * 7919)) in
+  proves "seed 28: bnb at 2,000,000" 45 (run "bnb" ~lambda:2_000_000 m28 seed28);
+  curtailed "seed 28: cp at 2,000" (run "cp" ~lambda:2_000 m28 seed28);
+  proves "weave: portfolio" 1 (run "portfolio" ~lambda:2_000_000 machine weave);
+  proves "seed 28: portfolio" 45
+    (run "portfolio" ~lambda:2_000_000 m28 seed28)
+
+(* ------------------------------------------------------------------ *)
 (* Anytime behavior: tiny budgets and pre-cancelled tokens             *)
 
 let anytime_under_tiny_lambda =
@@ -178,7 +244,9 @@ let () =
     [ ( "registry",
         [ Alcotest.test_case "names and lookup" `Quick registry_is_complete ] );
       ( "conformance",
-        [ outcomes_certify; contract_holds; exact_backends_agree ] );
+        [ outcomes_certify; contract_holds; exact_backends_agree;
+          Alcotest.test_case "each exact backend is needed" `Quick
+            each_exact_backend_is_needed ] );
       ("anytime", [ anytime_under_tiny_lambda; anytime_under_cancellation ]);
       ("determinism", [ deterministic_schedules; portfolio_deterministic_value ])
     ]
