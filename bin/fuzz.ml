@@ -84,10 +84,10 @@ let run_case ~lambda machine blk =
    Scheduler registry, certify best and initial, check the outcome
    contract (proved ⟹ best realizes the proof), and cross-check any
    optimality proof against an independent branch-and-bound run of the
-   same case.  The portfolio backend cross-checks bnb vs cp internally
-   and raises Portfolio.Disagreement — caught below like any scheduler
-   crash, so a disagreement shrinks and writes a repro like any other
-   failing case. *)
+   same case.  The portfolio backend also cross-checks bnb vs cp inside
+   the race and raises Portfolio.Disagreement — caught below like any
+   scheduler crash.  Either way a wrong proof is a failing case, which
+   this fuzzer (the one shrinker) reduces into a repro. *)
 
 let run_case_backend ~lambda ~backend machine blk =
   let violations = ref [] in
@@ -127,7 +127,7 @@ let run_case_backend ~lambda ~backend machine blk =
             (match o.Scheduler.proved with
              | None -> "nothing"
              | Some p -> string_of_int p));
-     if backend <> "portfolio" && backend <> "bnb" then begin
+     if backend <> "bnb" then begin
        (* Differential check against the reference search: whenever both
           sides prove, the optima must match; a curtailed side may never
           hold an incumbent beating the other's proof. *)

@@ -74,7 +74,7 @@ let acceptor st listen_fd () =
   go ()
 
 let run socket_path cache_capacity certify jobs lambda deadline_ms backend
-    max_queue max_inflight degrade faults =
+    max_queue degrade faults =
   if Pipesched_core.Scheduler.find backend = None then begin
     Printf.eprintf "pipesched_server: unknown backend %S (have: %s)\n%!"
       backend
@@ -94,7 +94,7 @@ let run socket_path cache_capacity certify jobs lambda deadline_ms backend
         ~backend
         ()
     in
-    let st = Daemon.create ~max_queue ~max_inflight ~degrade server in
+    let st = Daemon.create ~max_queue server in
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     (* Every thread of this process parks in blocking calls (cond waits,
        read(2), accept(2)), so an asynchronous [Signal_handle] would never
@@ -214,14 +214,6 @@ let max_queue =
            degraded answer under $(b,--degrade)) carrying a \
            retry_after_ms hint.  0 (default) = unbounded.")
 
-let max_inflight =
-  Arg.(
-    value & opt int 0
-    & info [ "max-inflight" ] ~docv:"N"
-        ~doc:
-          "Bound queued plus executing requests at $(docv); same shedding \
-           behavior as $(b,--max-queue).  0 (default) = unbounded.")
-
 let degrade =
   Arg.(
     value & flag
@@ -255,6 +247,6 @@ let cmd =
           from a canonical-form schedule cache")
     Term.(
       const run $ socket $ cache_capacity $ certify $ jobs $ lambda
-      $ deadline_ms $ backend $ max_queue $ max_inflight $ degrade $ faults)
+      $ deadline_ms $ backend $ max_queue $ degrade $ faults)
 
 let () = exit (Cmd.eval' cmd)

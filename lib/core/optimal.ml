@@ -106,9 +106,9 @@ type search_env = {
   cp_remaining : int array;
   cp_bound : int array;
   budget : Budget.t;
-  (* The portfolio's shared incumbent: its atomic bound and this
-     searcher's rank in it ([None] for a standalone search). *)
-  shared : (Incumbent.gate * int) option;
+  (* The portfolio's shared incumbent ([None] for a standalone
+     search). *)
+  shared : Omega.result Incumbent.t option;
   mutable omega_calls : int;
   mutable schedules_completed : int;
   mutable improvements : int;
@@ -450,13 +450,13 @@ let maybe_activate_memo env options =
            ~value_words:(Array.length env.fp))
 
 (* Exclusive pruning limit: the tighter of this searcher's own best and
-   the shared incumbent's gate (when racing).  Reading the gate is one
+   the shared incumbent's bound (when racing).  Reading the bound is one
    atomic load; staleness is sound — see Incumbent. *)
 let prune_limit env =
   match env.shared with
   | None -> env.best_nops
-  | Some (g, rank) ->
-    let s = Incumbent.limit g ~task:rank in
+  | Some inc ->
+    let s = Incumbent.bound inc in
     if s < env.best_nops then s else env.best_nops
 
 (* The search skeleton.  [push_candidates f pos] must invoke [f] once per
@@ -488,12 +488,7 @@ let dfs env options ~push_candidates ~on_complete =
     if depth = env.n then begin
       env.schedules_completed <- env.schedules_completed + 1;
       let nops = Omega.State.nops env.st in
-      if
-        nops < env.best_nops
-        && (match env.shared with
-           | None -> true
-           | Some (g, rank) -> Incumbent.admits g ~nops ~task:rank)
-      then begin
+      if nops < prune_limit env then begin
         env.best_nops <- nops;
         env.improvements <- env.improvements + 1;
         on_complete ()
@@ -629,10 +624,10 @@ let stats_of env ~completed =
 
    [seeded]: the evaluated seed is the initial incumbent.  Otherwise
    (the register-bounded search, whose seed may be infeasible) it is
-   evaluated only when the caller forces it.  [shared = (inc, rank)]
-   races the search against peers through a shared incumbent: the seed
-   goes in at rank [-1], each new best at [rank], and the gate tightens
-   pruning whenever a peer publishes first.
+   evaluated only when the caller forces it.  [shared] races the search
+   against peers through a shared incumbent: the seed and each new best
+   are submitted to it, and its bound tightens pruning whenever a peer
+   publishes first.
 
    Returns the lazy seed, the last new best (if any), the stats, and on
    completion the proved optimum — [min own-best shared-bound], since
@@ -645,40 +640,28 @@ let search ?entry ?(multi = false) ?shared ?(on_best = ignore) ~seeded
       (Omega.evaluate ?entry machine dag
          ~order:(List_sched.schedule options.seed dag))
   in
-  let gate =
+  let submit (r : Omega.result) =
     match shared with
-    | None -> None
-    | Some (inc, rank) ->
-      let seed = Lazy.force initial in
-      ignore
-        (Incumbent.submit inc ~nops:seed.nops ~task:(-1) (fun () -> seed)
-          : bool);
-      Some (Incumbent.gate inc, rank)
+    | Some inc ->
+      ignore (Incumbent.submit inc ~nops:r.nops (fun () -> r) : bool)
+    | None -> ()
   in
-  let env = make_env ?entry ~multi ?shared:gate machine dag options in
+  if Option.is_some shared then submit (Lazy.force initial);
+  let env = make_env ?entry ~multi ?shared machine dag options in
   if seeded then env.best_nops <- (Lazy.force initial).nops;
   let best = ref None in
   let on_complete () =
     let r = Omega.State.complete_greedily env.st in
     best := Some r;
     on_best ();
-    match shared with
-    | Some (inc, rank) ->
-      ignore (Incumbent.submit inc ~nops:r.nops ~task:rank (fun () -> r) : bool)
-    | None -> ()
+    submit r
   in
   let completed =
     match dfs env options ~push_candidates:(expand env) ~on_complete with
     | () -> true
     | exception Curtailed -> false
   in
-  let proved =
-    if not completed then None
-    else
-      match Option.bind gate (fun (g, _) -> Incumbent.bound g) with
-      | Some (v, _) -> Some (min v env.best_nops)
-      | None -> Some env.best_nops
-  in
+  let proved = if completed then Some (prune_limit env) else None in
   (initial, !best, stats_of env ~completed, proved)
 
 (* Each operation on its default pipe: one push per candidate. *)
@@ -703,9 +686,8 @@ let schedule ?(options = default_options) ?entry machine dag =
   fst (schedule_default ~options ?entry machine dag)
 
 (* The B&B side of the portfolio racer (see Portfolio). *)
-let schedule_shared ?(options = default_options) ?entry ~shared ~rank machine
-    dag =
-  schedule_default ~options ?entry ~shared:(shared, rank) machine dag
+let schedule_shared ?(options = default_options) ?entry ~shared machine dag =
+  schedule_default ~options ?entry ~shared machine dag
 
 let schedule_multi ?(options = default_options) ?entry machine dag =
   let n = Dag.length dag in

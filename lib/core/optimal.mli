@@ -147,23 +147,24 @@ type outcome = {
 val schedule :
   ?options:options -> ?entry:Omega.entry -> Machine.t -> Dag.t -> outcome
 
-(** [schedule_shared ~shared ~rank machine dag] — {!schedule} attached
-    to an external shared incumbent, for the portfolio racer
-    ({!Pipesched_core.Portfolio}): the evaluated seed is submitted at
-    rank [-1], every improvement is published at rank [rank] as it is
-    found, and the incumbent's gate tightens pruning whenever a peer
-    backend publishes a better bound first.  Returns the usual outcome
-    plus [Some proved] when the search ran to completion: the proved
-    optimal NOP count, which is [min own-best shared-bound] — with a
-    peer in play the proof is relative to the shared bound, so the
-    witness schedule may be held by the peer (fetch it with
-    [Incumbent.best]).  With a fresh incumbent and no peer the outcome
-    equals {!schedule}'s. *)
+(** [schedule_shared ~shared machine dag] — {!schedule} attached to an
+    external shared incumbent, for the portfolio racer
+    ({!Pipesched_core.Portfolio}): the evaluated seed and every
+    improvement are submitted to [shared] as they are found, and the
+    incumbent's bound prunes the search whenever a peer backend
+    publishes a better schedule first.  Pruning is at the shared bound
+    itself, so the search never re-finds a schedule that ties a peer's:
+    on a tie the peer keeps the payload.  Returns the usual outcome plus
+    [Some proved] when the search ran to completion: the proved optimal
+    NOP count, which is [min own-best shared-bound] — with a peer in
+    play the proof is relative to the shared bound, so the witness
+    schedule may be held by the peer (fetch it with [Incumbent.best]).
+    With a fresh incumbent and no peer the outcome equals
+    {!schedule}'s. *)
 val schedule_shared :
   ?options:options ->
   ?entry:Omega.entry ->
   shared:Omega.result Pipesched_prelude.Incumbent.t ->
-  rank:int ->
   Machine.t ->
   Dag.t ->
   outcome * int option

@@ -1,8 +1,6 @@
-open Pipesched_ir
 open Pipesched_machine
 module Budget = Pipesched_prelude.Budget
 module Incumbent = Pipesched_prelude.Incumbent
-module Json = Pipesched_prelude.Json
 module Pool = Pipesched_parallel.Pool
 module Solve_cp = Pipesched_solve.Cp
 
@@ -30,103 +28,6 @@ type outcome = {
 
 exception Disagreement of string
 
-(* ------------------------------------------------------------------ *)
-(* Disagreement forensics: re-run both backends standalone (serial, no
-   shared state, so fully deterministic), shrink the block greedily as
-   long as they still disagree, and write a repro file shaped like the
-   fuzzer's.  A disagreement is always a bug — both solvers claim a
-   proof anchored to the same Omega semantics — so this path trades
-   speed for a small, replayable witness. *)
-
-let standalone_optima ?options ?entry machine blk =
-  let options =
-    match options with Some o -> o | None -> Optimal.default_options
-  in
-  let dag = Dag.of_block blk in
-  let o =
-    Optimal.schedule
-      ~options:{ options with Optimal.cancel = None }
-      ?entry machine dag
-  in
-  let c =
-    Solve_cp.solve ~lambda:options.Optimal.lambda
-      ~seed:options.Optimal.seed ?entry machine dag
-  in
-  let ob =
-    if o.Optimal.stats.Optimal.completed then
-      Some o.Optimal.best.Omega.nops
-    else None
-  in
-  (ob, c.Solve_cp.stats.Solve_cp.proved)
-
-let still_disagrees ?options ?entry machine blk =
-  match standalone_optima ?options ?entry machine blk with
-  | Some a, Some b -> a <> b
-  | _ -> false
-
-let cut_ref id op =
-  match op with Operand.Ref id' when id' = id -> Operand.Imm 1 | _ -> op
-
-let drop_instruction blk i =
-  let tus = Array.to_list (Block.tuples blk) in
-  let victim = List.nth tus i in
-  let rest = List.filteri (fun j _ -> j <> i) tus in
-  let rewired =
-    List.map
-      (fun (tu : Tuple.t) ->
-        Tuple.make ~id:tu.id tu.op
-          (cut_ref victim.Tuple.id tu.a)
-          (cut_ref victim.Tuple.id tu.b))
-      rest
-  in
-  match Block.of_tuples rewired with Ok b -> Some b | Error _ -> None
-
-let shrink ?options ?entry machine blk =
-  let rec go blk =
-    let n = Block.length blk in
-    let drops = List.filter_map (drop_instruction blk) (List.init n Fun.id) in
-    match List.find_opt (still_disagrees ?options ?entry machine) drops with
-    | Some smaller -> go smaller
-    | None -> blk
-  in
-  go blk
-
-let write_repro ~dir machine blk shrunk ~bnb_nops ~cp_nops =
-  (if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-   else if not (Sys.is_directory dir) then
-     invalid_arg
-       (Printf.sprintf "portfolio: %s exists and is not a directory" dir));
-  let tag = Hashtbl.hash (Machine.to_text machine, Block.to_string blk) in
-  let path =
-    Filename.concat dir (Printf.sprintf "portfolio-repro-%d.json" tag)
-  in
-  let nops = function Some v -> Json.Int v | None -> Json.Null in
-  let repro =
-    Json.Assoc
-      [ ("schema", Json.Int 1);
-        ("machine", Json.String (Machine.to_text machine));
-        ("block", Json.String (Block.to_string blk));
-        ("shrunk_block", Json.String (Block.to_string shrunk));
-        ("bnb_nops", nops bnb_nops);
-        ("cp_nops", nops cp_nops) ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string repro);
-  output_char oc '\n';
-  close_out oc;
-  path
-
-let disagree ?options ?entry ~repro_dir machine dag detail =
-  let blk = Dag.block dag in
-  let shrunk = shrink ?options ?entry machine blk in
-  let bnb_nops, cp_nops = standalone_optima ?options ?entry machine shrunk in
-  let path = write_repro ~dir:repro_dir machine blk shrunk ~bnb_nops ~cp_nops in
-  raise
-    (Disagreement (Printf.sprintf "%s (repro %s)" detail path))
-
-(* ------------------------------------------------------------------ *)
-(* The race.                                                           *)
-
 (* Decision + conflict cap for the inline CP presolve below.  Resource-
    bound blocks — the common case in generated corpora — are typically
    proved within a few hundred decisions, and proving them before the
@@ -145,8 +46,7 @@ let cp_side_report (c : Solve_cp.outcome) =
     best_nops = c.Solve_cp.best.Omega.nops;
   }
 
-let run ?(options = Optimal.default_options) ?entry
-    ?(repro_dir = "portfolio-repro") machine dag =
+let run ?(options = Optimal.default_options) ?entry machine dag =
   (* Both sides share one incumbent: either side's bound prunes the
      other, and the final best schedule is whatever the pair found.  The
      stop token is derived from the caller's, so the winner can cut the
@@ -165,8 +65,7 @@ let run ?(options = Optimal.default_options) ?entry
     let lambda = max 1 (min presolve_lambda options.Optimal.lambda) in
     let c =
       Solve_cp.solve ~lambda ?deadline_s:options.Optimal.deadline_s
-        ~cancel:stop ~seed:options.Optimal.seed ?entry ~shared:(shared, 1)
-        machine dag
+        ~cancel:stop ~seed:options.Optimal.seed ?entry ~shared machine dag
     in
     if c.Solve_cp.stats.Solve_cp.completed then Some c else None
   in
@@ -194,7 +93,7 @@ let run ?(options = Optimal.default_options) ?entry
           if w = 0 then begin
             let o, proved =
               Optimal.schedule_shared ~options:side_options ?entry ~shared
-                ~rank:0 machine dag
+                machine dag
             in
             if o.Optimal.stats.Optimal.completed then claim 0;
             bnb_res := Some (o, proved)
@@ -203,7 +102,7 @@ let run ?(options = Optimal.default_options) ?entry
             let c =
               Solve_cp.solve ~lambda:side_options.Optimal.lambda
                 ?deadline_s:side_options.Optimal.deadline_s ~cancel:stop
-                ~seed:side_options.Optimal.seed ?entry ~shared:(shared, 1)
+                ~seed:side_options.Optimal.seed ?entry ~shared
                 machine dag
             in
             if c.Solve_cp.stats.Solve_cp.completed then claim 1;
@@ -234,17 +133,17 @@ let run ?(options = Optimal.default_options) ?entry
   (* Agreement: both proofs (when present) must name the same optimum,
      and the final incumbent must realize it.  Anything else means one
      of the solvers is wrong, which is a bug by construction — see
-     DESIGN.md §14. *)
+     DESIGN.md §14; the fuzzer shrinks such a case into a repro. *)
   (match bnb_proved, cp_proved with
    | Some a, Some b when a <> b ->
-     disagree ~options ?entry ~repro_dir machine dag
-       (Printf.sprintf "bnb proved %d, cp proved %d" a b)
+     raise (Disagreement (Printf.sprintf "bnb proved %d, cp proved %d" a b))
    | _ -> ());
   let check_witness side v =
     if best.Omega.nops <> v then
-      disagree ~options ?entry ~repro_dir machine dag
-        (Printf.sprintf "%s proved %d but the shared incumbent holds %d"
-           (backend_name side) v best.Omega.nops)
+      raise
+        (Disagreement
+           (Printf.sprintf "%s proved %d but the shared incumbent holds %d"
+              (backend_name side) v best.Omega.nops))
   in
   (match bnb_proved with Some v -> check_witness Bnb v | None -> ());
   (match cp_proved with Some v -> check_witness Cp v | None -> ());

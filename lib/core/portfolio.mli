@@ -18,14 +18,15 @@
     default pipeline choices, scored by the same Omega semantics — so on
     completion their proofs must name the same optimal NOP count, and
     the shared incumbent must hold a witness schedule realizing it.  Any
-    violation is a solver bug by construction (DESIGN.md §14): the race
-    then re-runs both sides standalone, greedily shrinks the block while
-    they still disagree, writes a fuzz-style repro JSON into
-    [repro_dir], and raises {!Disagreement}.
+    violation is a solver bug by construction (DESIGN.md §14), and the
+    race raises {!Disagreement}.  Shrinking such a case into a repro is
+    the fuzzer's job ([bin/fuzz.ml --backend portfolio]).
 
     Determinism: the winner, per-side statistics and statuses depend on
-    the race; [proved] and [best.nops] do not (they are the optimum
-    whenever either side completes). *)
+    the race, and so does which side's schedule [best] is when both find
+    the optimum (the incumbent keeps the first one published); [proved]
+    and [best.nops] do not (they are the optimum whenever either side
+    completes). *)
 
 open Pipesched_machine
 
@@ -60,18 +61,15 @@ type outcome = {
 }
 
 (** Raised when the backends disagree (see the module doc); the payload
-    names both verdicts and the repro file path. *)
+    names both verdicts. *)
 exception Disagreement of string
 
 (** [run machine dag] races the two backends.  [options.lambda] is
     granted to {e each} side in its own units; [options.cancel] cancels
-    the whole race.  [repro_dir] (default
-    ["portfolio-repro"]) receives the repro file if a disagreement is
-    ever detected. *)
+    the whole race. *)
 val run :
   ?options:Optimal.options ->
   ?entry:Omega.entry ->
-  ?repro_dir:string ->
   Machine.t ->
   Pipesched_ir.Dag.t ->
   outcome

@@ -12,15 +12,15 @@ let machine = Machine.Presets.simulation
 
 let run_study ?(seed = 1990) ?(count = 16_000) ?(lambda = 50_000)
     ?(strong = false) ?(memo = Optimal.default_memo) ?deadline_s
-    ?block_deadline_s ?cancel ?jobs ?strict ?certify ?backend ?progress () =
+    ?block_deadline_s ?jobs ?strict ?certify ?backend ?progress () =
   let options =
     { Optimal.default_options with
       Optimal.lambda;
       Optimal.strong_equivalence = strong;
       Optimal.memo = memo }
   in
-  Study.run ~options ?deadline_s ?block_deadline_s ?cancel ?jobs ?strict
-    ?certify ?backend ?progress ~seed ~count machine
+  Study.run ~options ?deadline_s ?block_deadline_s ?jobs ?strict ?certify
+    ?backend ?progress ~seed ~count machine
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -722,8 +722,13 @@ let print_portfolio_study ?(seed = 1990) ?(count = 80) ?(lambda = 50_000)
       sum_initial := !sum_initial + o.Portfolio.initial.Omega.nops;
       sum_best := !sum_best + o.Portfolio.best.Omega.nops
     | exception Portfolio.Disagreement msg ->
+      (* Name the pair, so the case can be rebuilt and rerun. *)
       incr disagreements;
-      Format.fprintf fmt "  DISAGREEMENT: %s@." msg
+      Format.fprintf fmt "  DISAGREEMENT on pair %d (block seed %d, %s): %s@."
+        i (seed + i)
+        (if i mod 2 = 0 then "the simulation machine"
+         else Printf.sprintf "random machine seed %d" ((seed + i) * 7919))
+        msg
   done;
   let avg s = float_of_int !s /. float_of_int (max 1 count) in
   Format.fprintf fmt

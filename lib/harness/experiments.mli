@@ -20,19 +20,17 @@ type study = Study.result list
     reported optima, only the Omega calls spent).  [deadline_s] bounds
     the whole sweep in wall-clock seconds and [block_deadline_s] each
     block's search (anytime mode: curtailed blocks record their legal
-    incumbents — see Study.run); [cancel] is a shared cancellation
-    token.  [jobs] sets the number of worker domains blocks are
-    scheduled across; without deadlines, results are identical at any
-    job count (see Study.run).  [strict] disables per-block fault
-    containment (fail-fast); [certify] re-checks every schedule with the
-    independent certifier (see Study.run_block).  [backend] selects the
+    incumbents — see Study.run).  [jobs] sets the number of worker
+    domains blocks are scheduled across; without deadlines, results are
+    identical at any job count (see Study.run).  [strict] disables
+    per-block fault containment (fail-fast); [certify] re-checks every
+    schedule with the independent certifier (see Study.run_block).  [backend] selects the
     scheduler by {!Pipesched_core.Scheduler} registry name (default
     ["bnb"]; see Study.run_block for what the generic backends report). *)
 val run_study :
   ?seed:int -> ?count:int -> ?lambda:int -> ?strong:bool ->
   ?memo:Pipesched_core.Optimal.memo_options ->
-  ?deadline_s:float -> ?block_deadline_s:float ->
-  ?cancel:Pipesched_prelude.Budget.token -> ?jobs:int ->
+  ?deadline_s:float -> ?block_deadline_s:float -> ?jobs:int ->
   ?strict:bool -> ?certify:bool -> ?backend:string ->
   ?progress:(int -> unit) ->
   unit -> study

@@ -181,8 +181,8 @@ let run_dedup ?strict ?jobs ?progress ~key ~solve items =
   dedup_keyed ?strict ?jobs ?progress ~solve
     (Pool.parallel_map_result ?jobs (fun x -> (x, key x)) items)
 
-let run ?(options = default_options) ?deadline_s ?block_deadline_s ?cancel
-    ?freq ?jobs ?strict ?certify ?backend ?(dedup = true) ?progress ~seed
+let run ?(options = default_options) ?deadline_s ?block_deadline_s ?freq
+    ?jobs ?strict ?certify ?backend ?(dedup = true) ?progress ~seed
     ~count machine =
   let rng = Rng.create seed in
   let seeds = Array.make (max count 1) 0 in
@@ -192,12 +192,9 @@ let run ?(options = default_options) ?deadline_s ?block_deadline_s ?cancel
   let sweep_end =
     match deadline_s with Some d -> Some (now () +. d) | None -> None
   in
-  let cancel =
-    match cancel with Some _ -> cancel | None -> options.Optimal.cancel
-  in
   let options_for_block () =
-    match (sweep_end, block_deadline_s, cancel) with
-    | None, None, None -> options
+    match (sweep_end, block_deadline_s) with
+    | None, None -> options
     | _ ->
       let remaining =
         match sweep_end with
@@ -209,7 +206,7 @@ let run ?(options = default_options) ?deadline_s ?block_deadline_s ?cancel
         | None, d | d, None -> d
         | Some a, Some b -> Some (min a b)
       in
-      { options with Optimal.deadline_s = eff; cancel }
+      { options with Optimal.deadline_s = eff }
   in
   let generate block_seed =
     let rng = Rng.create block_seed in

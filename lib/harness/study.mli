@@ -103,7 +103,7 @@ val run_dedup :
   'a list ->
   result list
 
-(** [run ?options ?deadline_s ?block_deadline_s ?cancel ?freq ?jobs ~seed
+(** [run ?options ?deadline_s ?block_deadline_s ?freq ?jobs ~seed
     ~count machine] generates [count] blocks with the paper's size mix
     and schedules each, distributing blocks over [jobs] domains (default:
     [PIPESCHED_JOBS] or the machine's recommended domain count; see
@@ -119,11 +119,12 @@ val run_dedup :
     time remaining as its budget; once the sweep deadline passes,
     remaining blocks return their list-schedule incumbents near
     instantly), [block_deadline_s] bounds each block's search
-    individually, and [cancel] is a shared token polled by every search.
-    Every block always yields a record — curtailed ones are marked by
-    their [status].  When neither deadline is set the clock is never
-    consulted and the determinism contract above holds bit-for-bit;
-    with a deadline, which blocks get curtailed depends on wall time.
+    individually, and the token in [options.cancel] is polled by every
+    search.  Every block always yields a record — curtailed ones are
+    marked by their [status].  When neither deadline is set the clock
+    is never consulted and the determinism contract above holds
+    bit-for-bit; with a deadline, which blocks get curtailed depends on
+    wall time.
 
     Fault isolation: a raise inside one block's generation, search or
     certification becomes one [Failed] entry and the study continues
@@ -159,7 +160,6 @@ val run :
   ?options:Optimal.options ->
   ?deadline_s:float ->
   ?block_deadline_s:float ->
-  ?cancel:Pipesched_prelude.Budget.token ->
   ?freq:Pipesched_synth.Frequency.t ->
   ?jobs:int ->
   ?strict:bool ->

@@ -1,7 +1,3 @@
-module Budget = Pipesched_prelude.Budget
-
-exception Cancelled
-
 let default_jobs () =
   match Sys.getenv_opt "PIPESCHED_JOBS" with
   | Some s ->
@@ -21,10 +17,7 @@ let inside_worker = Domain.DLS.new_key (fun () -> false)
 (* Left-to-right serial map (List.map's evaluation order is unspecified). *)
 let map_lr f xs = List.rev (List.fold_left (fun acc x -> f x :: acc) [] xs)
 
-let parallel_map ?jobs ?chunk ?cancel ?progress f xs =
-  let cancelled () =
-    match cancel with Some tok -> Budget.is_cancelled tok | None -> false
-  in
+let parallel_map ?jobs ?progress f xs =
   (* A raising progress callback must never take a worker down (that
      would leak the pool's accounting), so it is always contained. *)
   let notify c =
@@ -37,13 +30,9 @@ let parallel_map ?jobs ?chunk ?cancel ?progress f xs =
   let jobs = min (resolve_jobs jobs) n in
   if n = 0 then []
   else if jobs <= 1 || Domain.DLS.get inside_worker then begin
-    (* The serial path honors the token between items, like the pool's
-       [take] does between chunks: items already mapped are kept, the
-       first un-started one raises. *)
     let done_ = ref 0 in
     map_lr
       (fun x ->
-        if cancelled () then raise Cancelled;
         let y = f x in
         incr done_;
         notify !done_;
@@ -51,11 +40,9 @@ let parallel_map ?jobs ?chunk ?cancel ?progress f xs =
       xs
   end
   else begin
-    let chunk =
-      match chunk with
-      | Some c -> max 1 c
-      | None -> max 1 (min 64 (n / (jobs * 32)))
-    in
+    (* Consecutive indices a worker claims per counter access: enough
+       to amortize the mutex, few enough to balance a heavy tail. *)
+    let chunk = max 1 (min 64 (n / (jobs * 32))) in
     let results = Array.make n None in
     let mu = Mutex.create () in
     let finished = Condition.create () in
@@ -74,12 +61,10 @@ let parallel_map ?jobs ?chunk ?cancel ?progress f xs =
       notify c
     in
     (* [take] hands out the next chunk of indices, or the empty range once
-       the items are exhausted, a worker has failed, or the cancellation
-       token has been tripped — cancellation is cooperative: in-flight
-       items finish, un-started ones are never begun. *)
+       the items are exhausted or a worker has failed. *)
     let take () =
       Mutex.lock mu;
-      let lo = if !error = None && not (cancelled ()) then !next else n in
+      let lo = if !error = None then !next else n in
       let hi = min n (lo + chunk) in
       next := hi;
       Mutex.unlock mu;
@@ -124,7 +109,6 @@ let parallel_map ?jobs ?chunk ?cancel ?progress f xs =
     match !error with
     | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
     | None ->
-      if Array.exists (fun r -> r = None) results then raise Cancelled;
       Array.to_list
         (Array.map
            (function Some y -> y | None -> assert false)
@@ -133,7 +117,7 @@ let parallel_map ?jobs ?chunk ?cancel ?progress f xs =
 
 (* A fixed team of [jobs] collaborating workers (they share state by
    design — e.g. the portfolio's incumbent and stop token — unlike the
-   pure maps above).  Worker 0 runs on the calling domain, so
+   pure map above).  Worker 0 runs on the calling domain, so
    [team ~jobs:1 f] is exactly [f 0] with no domain spawned and the
    caller's DLS untouched;
    spawned workers get [inside_worker] set so any parallel_map they
@@ -168,13 +152,10 @@ let team ~jobs f =
     | None, [] -> ()
   end
 
-let map_reduce ?jobs ?chunk ?cancel ~map ~reduce ~init xs =
-  List.fold_left reduce init (parallel_map ?jobs ?chunk ?cancel map xs)
-
 type failure = { exn : string; backtrace : string }
 
-let parallel_map_result ?jobs ?chunk ?cancel ?progress f xs =
-  parallel_map ?jobs ?chunk ?cancel ?progress
+let parallel_map_result ?jobs ?progress f xs =
+  parallel_map ?jobs ?progress
     (fun x ->
       match f x with
       | y -> Ok y

@@ -1,7 +1,7 @@
 (** Deterministic chunked work pool over OCaml 5 domains.
 
-    [parallel_map] and [map_reduce] distribute independent items across
-    worker domains.  Results are always delivered in input order, and the
+    [parallel_map] distributes independent items across worker
+    domains.  Results are always delivered in input order, and the
     functions applied must be pure with respect to shared state, so the
     value computed is {e identical at every job count} — parallelism only
     changes wall-clock time.  This is the determinism contract the study
@@ -12,8 +12,14 @@
     Scheduling is dynamic: workers repeatedly grab the next chunk of
     indices from a mutex-protected counter, so a heavy-tailed workload
     (e.g. branch-and-bound searches whose cost varies by orders of
-    magnitude per block) still balances.  Chunking only affects load
-    balance, never results.
+    magnitude per block) still balances.  The chunk is sized from the
+    item and job counts ([length xs / (jobs * 32)], clamped to
+    [1 .. 64]); it only affects load balance, never results.
+
+    There is no cancellation: a map runs every item (or stops at the
+    first raise).  A sweep that must stop early bounds each item's own
+    work instead — every search polls the cancellation token in its
+    options.
 
     The pool is safe under nested use: a call made from inside a worker
     domain runs serially in that worker instead of spawning further
@@ -25,13 +31,7 @@
     integer, otherwise to [Domain.recommended_domain_count ()]. *)
 val resolve_jobs : int option -> int
 
-(** Raised by {!parallel_map} / {!map_reduce} when the [?cancel] token
-    was tripped before every item was mapped.  Items already in flight
-    finish first (cancellation is cooperative — no domain is killed), so
-    the raise happens only after all workers have drained. *)
-exception Cancelled
-
-(** [parallel_map ?jobs ?chunk ?cancel f xs] is [List.map f xs] computed
+(** [parallel_map ?jobs f xs] is [List.map f xs] computed
     on [jobs] domains (default {!resolve_jobs}[ None]), with [f] applied
     to each element exactly once and results in input order.  [f] is
     evaluated left-to-right when running serially ([jobs <= 1], a
@@ -41,17 +41,6 @@ exception Cancelled
     order) is re-raised in the caller after all workers have stopped;
     remaining unstarted items are abandoned.
 
-    [cancel] is an optional shared {!Pipesched_prelude.Budget.token}:
-    once tripped (from any domain), no further item is started, workers
-    drain, and {!Cancelled} is raised — unless every item had already
-    been mapped, in which case the full result is returned normally.
-    The serial path checks the token between items, so behavior is the
-    same at any job count.
-
-    [chunk] is the number of consecutive indices a worker claims per
-    counter access (default: scaled to [length xs / (jobs * 32)],
-    clamped to [1 .. 64]).
-
     [progress] is called with the cumulative number of items completed
     — after every item on the serial path, after every chunk on the
     parallel one.  It runs on worker domains, so it must be
@@ -60,8 +49,6 @@ exception Cancelled
     for rate-limited heartbeats, not precise accounting. *)
 val parallel_map :
   ?jobs:int ->
-  ?chunk:int ->
-  ?cancel:Pipesched_prelude.Budget.token ->
   ?progress:(int -> unit) ->
   ('a -> 'b) ->
   'a list ->
@@ -72,18 +59,14 @@ val parallel_map :
     when backtrace recording is off). *)
 type failure = { exn : string; backtrace : string }
 
-(** [parallel_map_result ?jobs ?chunk ?cancel f xs] is {!parallel_map}
+(** [parallel_map_result ?jobs f xs] is {!parallel_map}
     with per-item fault containment: an application of [f] that raises
     yields [Error failure] for that item instead of tearing down the
     whole map, and every other item still runs.  Results stay in input
     order, so the determinism contract is preserved — a deterministic
-    [f] fails (or succeeds) identically at any job count.  [cancel]
-    still aborts the map as a whole via {!Cancelled} (cancellation is a
-    caller decision, not an item fault). *)
+    [f] fails (or succeeds) identically at any job count. *)
 val parallel_map_result :
   ?jobs:int ->
-  ?chunk:int ->
-  ?cancel:Pipesched_prelude.Budget.token ->
   ?progress:(int -> unit) ->
   ('a -> 'b) ->
   'a list ->
@@ -100,18 +83,3 @@ val parallel_map_result :
     worker raises, the first exception (worker 0 first, then spawn
     order) is re-raised after all workers have been joined. *)
 val team : jobs:int -> (int -> unit) -> unit
-
-(** [map_reduce ?jobs ?chunk ?cancel ~map ~reduce ~init xs] maps in
-    parallel, then folds the mapped results {e in input order} with
-    [reduce], starting from [init].  Deterministic for any [reduce],
-    associative or not, at any job count.  [cancel] as in
-    {!parallel_map}. *)
-val map_reduce :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?cancel:Pipesched_prelude.Budget.token ->
-  map:('a -> 'b) ->
-  reduce:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a list ->
-  'acc

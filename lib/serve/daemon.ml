@@ -20,8 +20,6 @@ type t = {
   mutable draining : bool; (* no new jobs will be accepted *)
   mutable listen_fd : Unix.file_descr option;
   max_queue : int; (* 0 = unbounded *)
-  max_inflight : int; (* bound on queued + executing; 0 = unbounded *)
-  degrade : bool; (* answer would-be-shed requests with the list scheduler *)
   mutable inflight : int; (* jobs taken but not yet finished (under qmutex) *)
   mutable ewma_ms : float; (* smoothed service time; 0 = unprimed (under qmutex) *)
   mutable jobs : int; (* worker count, for wait estimation *)
@@ -31,7 +29,7 @@ type t = {
   respawns : int Atomic.t; (* worker domains restarted by the supervisor *)
 }
 
-let create ?(max_queue = 0) ?(max_inflight = 0) ?(degrade = false) server =
+let create ?(max_queue = 0) server =
   let t =
     {
       server;
@@ -41,8 +39,6 @@ let create ?(max_queue = 0) ?(max_inflight = 0) ?(degrade = false) server =
       draining = false;
       listen_fd = None;
       max_queue;
-      max_inflight;
-      degrade;
       inflight = 0;
       ewma_ms = 0.0;
       jobs = 1;
@@ -119,14 +115,11 @@ let submit t ~line ~write ~on_done =
   else begin
     let qlen = Queue.length t.queue in
     let depth = qlen + t.inflight in
-    (* Admission: refuse when a bound is hit, or when the request's own
-       deadline is provably unmeetable at the current depth — solving it
-       anyway would burn a worker on an answer the client has already
-       abandoned. *)
-    let over_bounds =
-      (t.max_queue > 0 && qlen >= t.max_queue)
-      || (t.max_inflight > 0 && depth >= t.max_inflight)
-    in
+    (* Admission: refuse when the queue bound is hit, or when the
+       request's own deadline is provably unmeetable at the current
+       depth — solving it anyway would burn a worker on an answer the
+       client has already abandoned. *)
+    let over_bounds = t.max_queue > 0 && qlen >= t.max_queue in
     let unmeetable =
       (not over_bounds) && t.ewma_ms > 0.0 && depth > 0
       &&
@@ -143,8 +136,10 @@ let submit t ~line ~write ~on_done =
       Atomic.incr t.shed;
       (* Never a silent drop: a shed request is answered immediately on
          the intake thread — degraded (certified list schedule) when the
-         operator opted in, an explicit overload refusal otherwise. *)
-      if t.degrade then write (Server.handle_line_degraded t.server line)
+         server was created to degrade, an explicit overload refusal
+         otherwise. *)
+      if Server.degrade t.server then
+        write (Server.handle_line_degraded t.server line)
       else begin
         let id =
           match Json.parse line with

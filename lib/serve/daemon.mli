@@ -7,17 +7,18 @@
     + {b no silent drops}: every line that reaches {!submit} gets
       exactly one terminal answer — a scheduling response, a degraded
       response, an [overloaded] refusal, or the [shutting down] line;
-    + {b bounded queueing}: with [max_queue]/[max_inflight] set, the
-      daemon sheds instead of queueing without bound, so offered load
-      beyond capacity cannot grow RSS or latency without limit;
+    + {b bounded queueing}: with [max_queue] set, the daemon sheds
+      instead of queueing without bound, so offered load beyond capacity
+      cannot grow RSS or latency without limit;
     + {b deadline honesty}: a request whose own [deadline_ms] is
       provably unmeetable at the current depth (estimated wait from a
       smoothed service time already exceeds it) is refused up front
       with a [retry_after_ms] hint instead of being solved for nobody;
-    + {b graceful degradation}: with [degrade], would-be-shed requests
-      are answered immediately on the intake thread by the certified
-      list scheduler ({!Server.handle_line_degraded}) — a legal
-      schedule now instead of an optimal schedule never;
+    + {b graceful degradation}: when the server was created with
+      [~degrade:true], would-be-shed requests are answered immediately
+      on the intake thread by the certified list scheduler
+      ({!Server.handle_line_degraded}) — a legal schedule now instead
+      of an optimal schedule never;
     + {b fault containment}: a failed response write (client gone,
       EPIPE, or an armed {!Pipesched_prelude.Fault.Write_response}
       chaos fault) is contained and counted; any {e unexpected}
@@ -53,12 +54,10 @@ type admission =
     [shed], [write_contained], [respawns]).
 
     [max_queue] bounds the number of {e queued} (not yet executing)
-    jobs; [max_inflight] bounds queued + executing.  [0] (the default)
-    means unbounded, preserving the old behavior.  [degrade] answers
-    shed requests with the certified list scheduler instead of an
-    [overloaded] refusal. *)
-val create :
-  ?max_queue:int -> ?max_inflight:int -> ?degrade:bool -> Server.t -> t
+    jobs; [0] (the default) means unbounded.  A shed request is
+    answered with the certified list scheduler when the server degrades
+    ({!Server.degrade}), with an [overloaded] refusal otherwise. *)
+val create : ?max_queue:int -> Server.t -> t
 
 val server : t -> Server.t
 

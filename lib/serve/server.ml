@@ -56,6 +56,7 @@ let cache_evictions t = Lru.evictions t.cache
 let cache_length t = Lru.length t.cache
 let contained t = Atomic.get t.contained
 let degraded_served t = Atomic.get t.degraded
+let degrade t = t.degrade
 let set_extra_stats t f = t.extra_stats <- f
 
 (* ------------------------------------------------------------------ *)
@@ -121,6 +122,22 @@ let resolve_block json =
     | Error (line, msg) -> Error (Printf.sprintf "block, line %d: %s" line msg))
   | Some _ -> Error "\"block\" must be a string"
 
+(* A scheduling request's machine and block, validated: the one
+   resolution both the search and the degraded path answer from. *)
+let resolve_request req =
+  match resolve_machine (Json.member "machine" req) with
+  | Error msg -> Error msg
+  | Ok machine -> (
+    match Machine.validate machine with
+    | _ :: _ as diags ->
+      Error
+        ("invalid machine: "
+        ^ String.concat "; " (List.map Machine.diagnostic_to_string diags))
+    | [] -> (
+      match resolve_block (Json.member "block" req) with
+      | Error msg -> Error msg
+      | Ok blk -> Ok (machine, blk)))
+
 let stats_response t id =
   Json.Assoc
     ([ ("id", id);
@@ -158,130 +175,116 @@ let degraded_of blk machine t id ~cached =
     render id ~order:result.Omega.order result ~completed:false
       ~status:"Degraded" ~degraded:true ~cached:(cached false)
 
+(* The daemon's answer to a request it sheds: the certified list
+   schedule, with no search.  Non-scheduling fields ([op] etc.) are not
+   consulted. *)
 let handle_request_degraded t req =
   let id = Option.value ~default:Json.Null (Json.member "id" req) in
-  match resolve_machine (Json.member "machine" req) with
+  match resolve_request req with
   | Error msg -> error_response id msg
-  | Ok machine -> (
-    match Machine.validate machine with
-    | _ :: _ as diags ->
-      error_response id
-        ("invalid machine: "
-        ^ String.concat "; " (List.map Machine.diagnostic_to_string diags))
-    | [] -> (
-      match resolve_block (Json.member "block" req) with
-      | Error msg -> error_response id msg
-      | Ok blk -> degraded_of blk machine t id ~cached:(detail_cached req)))
+  | Ok (machine, blk) ->
+    degraded_of blk machine t id ~cached:(detail_cached req)
 
 let schedule_request t id req =
-  match resolve_machine (Json.member "machine" req) with
+  match resolve_request req with
   | Error msg -> error_response id msg
-  | Ok machine -> (
-    match Machine.validate machine with
-    | _ :: _ as diags ->
-      error_response id
-        ("invalid machine: "
-        ^ String.concat "; " (List.map Machine.diagnostic_to_string diags))
-    | [] -> (
-      match resolve_block (Json.member "block" req) with
-      | Error msg -> error_response id msg
-      | Ok blk -> (
-        let lambda =
-          match Option.bind (Json.member "lambda" req) Json.to_int_opt with
-          | Some l when l > 0 -> l
-          | _ -> t.lambda
+  | Ok (machine, blk) -> (
+    let lambda =
+      match Option.bind (Json.member "lambda" req) Json.to_int_opt with
+      | Some l when l > 0 -> l
+      | _ -> t.lambda
+    in
+    let deadline_s =
+      match
+        Option.bind (Json.member "deadline_ms" req) Json.to_float_opt
+      with
+      | Some ms when ms > 0.0 -> Some (ms /. 1000.0)
+      | _ -> Option.map (fun ms -> ms /. 1000.0) t.deadline_ms
+    in
+    let cached = detail_cached req in
+    match
+      (* Per-request backend override; unknown names fail the
+         request, like an unknown machine preset. *)
+      match Json.member "backend" req with
+      | None -> Ok t.backend
+      | Some (Json.String b) ->
+        if Scheduler.find b <> None then Ok b
+        else
+          Error
+            (Printf.sprintf "unknown backend %S (have: %s)" b
+               (String.concat ", " Scheduler.names))
+      | Some _ -> Error "\"backend\" must be a string"
+    with
+    | Error msg -> error_response id msg
+    | Ok backend -> (
+    let c = Canonical.of_block blk in
+    (* Backends may return different (equally legal) schedules, and
+       cached hits must stay byte-identical to fresh solves — so the
+       backend is part of the cache key. *)
+    let key =
+      Machine.fingerprint machine ^ "\x00" ^ backend ^ "\x00"
+      ^ c.Canonical.key
+    in
+    match Lru.find t.cache key with
+    | Some result ->
+      render id
+        ~order:(Canonical.apply c result.Omega.order)
+        result ~completed:true
+        ~status:(Budget.status_to_string Budget.Complete)
+        ~degraded:false ~cached:(cached true)
+    | None -> (
+      (* Containment boundary: anything the solve raises — a real
+         bug or an armed [solver] chaos fault — is confined to this
+         request.  The fault key is the request text itself, so a
+         verdict is reproducible yet a client retry carrying a
+         distinct attempt marker gets a fresh draw.  The text is
+         only rendered when the site is armed. *)
+      match
+        if Fault.armed Fault.Solver then
+          Fault.guard Fault.Solver ~key:(Json.to_string req);
+        let options =
+          { Optimal.default_options with Optimal.lambda; deadline_s }
         in
-        let deadline_s =
-          match
-            Option.bind (Json.member "deadline_ms" req) Json.to_float_opt
-          with
-          | Some ms when ms > 0.0 -> Some (ms /. 1000.0)
-          | _ -> Option.map (fun ms -> ms /. 1000.0) t.deadline_ms
+        let dag = Dag.of_block c.Canonical.block in
+        let (module B : Scheduler.S) =
+          (* create / the override above validated the name *)
+          Option.get (Scheduler.find backend)
         in
-        let cached = detail_cached req in
-        match
-          (* Per-request backend override; unknown names fail the
-             request, like an unknown machine preset. *)
-          match Json.member "backend" req with
-          | None -> Ok t.backend
-          | Some (Json.String b) ->
-            if Scheduler.find b <> None then Ok b
-            else
-              Error
-                (Printf.sprintf "unknown backend %S (have: %s)" b
-                   (String.concat ", " Scheduler.names))
-          | Some _ -> Error "\"backend\" must be a string"
-        with
-        | Error msg -> error_response id msg
-        | Ok backend -> (
-        let c = Canonical.of_block blk in
-        (* Backends may return different (equally legal) schedules, and
-           cached hits must stay byte-identical to fresh solves — so the
-           backend is part of the cache key. *)
-        let key =
-          Machine.fingerprint machine ^ "\x00" ^ backend ^ "\x00"
-          ^ c.Canonical.key
+        B.schedule ~options machine dag
+      with
+      | exception exn ->
+        Atomic.incr t.contained;
+        if t.degrade then degraded_of blk machine t id ~cached
+        else
+          error_response id
+            ("internal error: " ^ Printexc.to_string exn)
+      | o -> (
+        let result = o.Scheduler.best in
+        let completed = o.Scheduler.completed in
+        let status = o.Scheduler.status in
+        let violations =
+          if t.certify then Certify.check machine c.Canonical.block result
+          else []
         in
-        match Lru.find t.cache key with
-        | Some result ->
+        match violations with
+        | _ :: _ ->
+          error_response id
+            ("certification failed: "
+            ^ String.concat "; " (List.map Certify.explain violations))
+        | [] ->
+          (* Curtailed incumbents are served but never cached: a later
+             request with a looser budget must get its own solve.  A
+             failed insert (an armed [cache_insert] fault) is
+             contained — the cache is an optimization, the answer is
+             already in hand. *)
+          (if completed then
+             try Lru.put t.cache key result
+             with _ -> Atomic.incr t.contained);
           render id
             ~order:(Canonical.apply c result.Omega.order)
-            result ~completed:true
-            ~status:(Budget.status_to_string Budget.Complete)
-            ~degraded:false ~cached:(cached true)
-        | None -> (
-          (* Containment boundary: anything the solve raises — a real
-             bug or an armed [solver] chaos fault — is confined to this
-             request.  The fault key is the request text itself, so a
-             verdict is reproducible yet a client retry carrying a
-             distinct attempt marker gets a fresh draw.  The text is
-             only rendered when the site is armed. *)
-          match
-            if Fault.armed Fault.Solver then
-              Fault.guard Fault.Solver ~key:(Json.to_string req);
-            let options =
-              { Optimal.default_options with Optimal.lambda; deadline_s }
-            in
-            let dag = Dag.of_block c.Canonical.block in
-            let (module B : Scheduler.S) =
-              (* create / the override above validated the name *)
-              Option.get (Scheduler.find backend)
-            in
-            B.schedule ~options machine dag
-          with
-          | exception exn ->
-            Atomic.incr t.contained;
-            if t.degrade then degraded_of blk machine t id ~cached
-            else
-              error_response id
-                ("internal error: " ^ Printexc.to_string exn)
-          | o -> (
-            let result = o.Scheduler.best in
-            let completed = o.Scheduler.completed in
-            let status = o.Scheduler.status in
-            let violations =
-              if t.certify then Certify.check machine c.Canonical.block result
-              else []
-            in
-            match violations with
-            | _ :: _ ->
-              error_response id
-                ("certification failed: "
-                ^ String.concat "; " (List.map Certify.explain violations))
-            | [] ->
-              (* Curtailed incumbents are served but never cached: a later
-                 request with a looser budget must get its own solve.  A
-                 failed insert (an armed [cache_insert] fault) is
-                 contained — the cache is an optimization, the answer is
-                 already in hand. *)
-              (if completed then
-                 try Lru.put t.cache key result
-                 with _ -> Atomic.incr t.contained);
-              render id
-                ~order:(Canonical.apply c result.Omega.order)
-                result ~completed
-                ~status:(Budget.status_to_string status)
-                ~degraded:false ~cached:(cached false)))))))
+            result ~completed
+            ~status:(Budget.status_to_string status)
+            ~degraded:false ~cached:(cached false)))))
 
 let handle_request t req =
   let id = Option.value ~default:Json.Null (Json.member "id" req) in
@@ -294,32 +297,23 @@ let handle_request t req =
   | Some _ -> error_response id "\"op\" must be a string"
   | None -> schedule_request t id req
 
-let handle_line t line =
+(* Parse one protocol line and answer it with [answer].  Malformed JSON
+   becomes an error response, and so does any exception escaping
+   [answer]: the outer belt-and-braces boundary, so even a fault
+   escaping the per-request containment costs only this request. *)
+let answer_line t answer line =
   let response =
     match Json.parse line with
     | Error msg -> error_response Json.Null msg
     | Ok req -> (
-      match handle_request t req with
+      match answer t req with
       | resp -> resp
       | exception exn ->
-        (* Outer belt-and-braces boundary: even a fault escaping the
-           per-request containment above costs only this request. *)
         Atomic.incr t.contained;
         let id = Option.value ~default:Json.Null (Json.member "id" req) in
         error_response id ("internal error: " ^ Printexc.to_string exn))
   in
   Json.to_string response
 
-let handle_line_degraded t line =
-  let response =
-    match Json.parse line with
-    | Error msg -> error_response Json.Null msg
-    | Ok req -> (
-      match handle_request_degraded t req with
-      | resp -> resp
-      | exception exn ->
-        Atomic.incr t.contained;
-        let id = Option.value ~default:Json.Null (Json.member "id" req) in
-        error_response id ("internal error: " ^ Printexc.to_string exn))
-  in
-  Json.to_string response
+let handle_line t line = answer_line t handle_request line
+let handle_line_degraded t line = answer_line t handle_request_degraded line

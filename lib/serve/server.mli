@@ -71,9 +71,9 @@
     machine-independent list scheduler instead of an error: the order is
     evaluated by Omega, certified by the independent checker, and marked
     ["degraded": true] with status ["Degraded"] and [completed: false] —
-    a legal schedule with no optimality claim.  The daemon also calls
-    {!handle_request_degraded} directly for requests it would otherwise
-    shed.  Any exception escaping a request — solver, cache insert,
+    a legal schedule with no optimality claim.  The daemon of such a
+    server also answers requests it would otherwise shed through
+    {!handle_line_degraded}.  Any exception escaping a request — solver, cache insert,
     anything — is confined to that request's error response and counted
     in {!contained}; one poisoned request can never take the process
     down.
@@ -108,25 +108,21 @@ val create :
   unit ->
   t
 
-(** [handle_request t json] processes one parsed request. *)
-val handle_request : t -> Pipesched_prelude.Json.t -> Pipesched_prelude.Json.t
-
-(** [handle_request_degraded t json] answers a scheduling request with
-    the certified list scheduler, skipping the optimal search entirely
-    — the daemon's graceful-degradation path for requests that would
-    otherwise be shed.  The response carries ["degraded": true].
-    Non-scheduling fields ([op] etc.) are ignored: this is only ever
-    called for scheduling requests. *)
-val handle_request_degraded :
-  t -> Pipesched_prelude.Json.t -> Pipesched_prelude.Json.t
+(** Whether [t] was created with [~degrade:true]; the daemon reads it to
+    decide how to answer a request it sheds. *)
+val degrade : t -> bool
 
 (** [handle_line t line] parses and processes one protocol line,
     returning the response line (no trailing newline).  Never raises:
     malformed input yields an [ok: false] response. *)
 val handle_line : t -> string -> string
 
-(** {!handle_line} for the degraded path: parse + containment around
-    {!handle_request_degraded}.  Never raises. *)
+(** [handle_line_degraded t line] answers a scheduling request line
+    with the certified list scheduler, skipping the optimal search
+    entirely — the daemon's graceful-degradation path for requests that
+    would otherwise be shed.  The response carries ["degraded": true];
+    non-scheduling fields ([op] etc.) are ignored.  Same parsing and
+    containment as {!handle_line}, so it never raises. *)
 val handle_line_degraded : t -> string -> string
 
 (** {2 Counters} (monotone since {!create}) *)

@@ -731,9 +731,10 @@ type acc = {
 
 type qres = Sat of int array | Unsat | Curtailed of Budget.status | New_bound of int
 
-(* [ext_bound] polls the shared incumbent; a peer bound at or below the
-   target answers this query from outside (a witness schedule exists),
-   so the optimizer rebuilds at the tighter target. *)
+(* [ext_bound] polls the shared incumbent ([max_int] standalone); a peer
+   bound at or below the target answers this query from outside (a
+   witness schedule exists), so the optimizer rebuilds at the tighter
+   target. *)
 let run_query q budget acc ~target ~all_insts ~ext_bound =
   if pack_infeasible q all_insts then Unsat
   else begin
@@ -757,17 +758,16 @@ let run_query q budget acc ~target ~all_insts ~ext_bound =
         end
         else begin
           let ext =
-            if acc.a_decisions land 63 = 0 then ext_bound () else None
+            if acc.a_decisions land 63 = 0 then ext_bound () else max_int
           in
-          match ext with
-          | Some v when v <= target -> result := Some (New_bound v)
-          | _ ->
-            (match Budget.exhausted budget with
-             | Some s -> result := Some (Curtailed s)
-             | None ->
-               Budget.spend budget;
-               acc.a_decisions <- acc.a_decisions + 1;
-               decide q)
+          if ext <= target then result := Some (New_bound ext)
+          else
+            match Budget.exhausted budget with
+            | Some s -> result := Some (Curtailed s)
+            | None ->
+              Budget.spend budget;
+              acc.a_decisions <- acc.a_decisions + 1;
+              decide q
         end
       | confl ->
         if q.level_n = 0 then result := Some Unsat
@@ -851,31 +851,16 @@ let solve ?(lambda = 200_000) ?deadline_s ?cancel
   let budget =
     Budget.start { Budget.calls = Some lambda; deadline_s; cancel }
   in
-  (match shared with
-   | Some (inc, _) ->
-     ignore
-       (Incumbent.submit inc ~nops:initial.Omega.nops ~task:(-1) (fun () ->
-            initial)
-         : bool)
-   | None -> ());
-  let ext_bound =
+  let ext_bound, submit =
     match shared with
-    | None -> fun () -> None
-    | Some (inc, _) ->
-      let gate = Incumbent.gate inc in
-      fun () ->
-        (match Incumbent.bound gate with
-         | Some (v, _) -> Some v
-         | None -> None)
+    | None -> ((fun () -> max_int), ignore)
+    | Some inc ->
+      ( (fun () -> Incumbent.bound inc),
+        fun r ->
+          ignore
+            (Incumbent.submit inc ~nops:r.Omega.nops (fun () -> r) : bool) )
   in
-  let submit r =
-    match shared with
-    | Some (inc, rank) ->
-      ignore
-        (Incumbent.submit inc ~nops:r.Omega.nops ~task:rank (fun () -> r)
-          : bool)
-    | None -> ()
-  in
+  submit initial;
   let acc =
     { a_decisions = 0; a_conflicts = 0; a_props = 0; a_restarts = 0;
       a_learned = 0 }
@@ -898,9 +883,8 @@ let solve ?(lambda = 200_000) ?deadline_s ?cancel
        let lb = ref (root_lower_bound machine dag ~entry:entry_v) in
        let running = ref true in
        while !running do
-         (match ext_bound () with
-          | Some v when v < !ub -> ub := v
-          | _ -> ());
+         let ext = ext_bound () in
+         if ext < !ub then ub := ext;
          if !ub <= !lb then begin
            completed := true;
            running := false

@@ -74,10 +74,10 @@ type outcome = {
     the B&B: on expiry the best incumbent so far is returned with the
     tripping status.  [seed] picks the list-scheduler heuristic for the
     initial incumbent (default [Max_distance], matching
-    [Optimal.default_options]).  [shared = (incumbent, rank)] attaches a
-    shared incumbent: the seed is submitted at rank [-1], improvements
-    at [rank], and a peer's published bound tightens this side's target
-    (the portfolio's two-way pruning).  Determinism: with no deadline
+    [Optimal.default_options]).  [shared] attaches a shared incumbent:
+    the seed and every improvement are submitted to it, and a peer's
+    published bound tightens this side's target (the portfolio's two-way
+    pruning).  Determinism: with no deadline
     and no shared incumbent the solve is bit-for-bit reproducible — no
     clock reads, no randomness. *)
 val solve :
@@ -86,7 +86,7 @@ val solve :
   ?cancel:Budget.token ->
   ?seed:Pipesched_sched.List_sched.heuristic ->
   ?entry:Omega.entry ->
-  ?shared:Omega.result Incumbent.t * int ->
+  ?shared:Omega.result Incumbent.t ->
   Machine.t ->
   Dag.t ->
   outcome

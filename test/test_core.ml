@@ -731,7 +731,7 @@ let shared_alone_is_schedule =
       let o = Optimal.schedule ~options:shared_options m dag in
       let s, proved =
         Optimal.schedule_shared ~options:shared_options
-          ~shared:(Incumbent.create ()) ~rank:0 m dag
+          ~shared:(Incumbent.create ()) m dag
       in
       let timeless st = { st with Optimal.elapsed_s = 0.0 } in
       s.Optimal.best = o.Optimal.best
@@ -742,6 +742,9 @@ let shared_alone_is_schedule =
               Some o.Optimal.best.Omega.nops
             else None))
 
+(* The search prunes at the shared bound itself, so neither its seed nor
+   its own schedules can displace a peer's witness that already ties the
+   optimum: the peer's payload stays, physically the same value. *)
 let shared_proves_peer_optimum =
   qtest ~count:200 "schedule_shared proves an optimum a peer found first"
     shared_case_gen shared_case_print (fun case ->
@@ -751,9 +754,12 @@ let shared_proves_peer_optimum =
       let shared = Incumbent.create () in
       let opt = o.Optimal.best.Omega.nops in
       ignore
-        (Incumbent.submit shared ~nops:opt ~task:1 (fun () -> o.Optimal.best)
-          : bool);
-      snd (Optimal.schedule_shared ~shared ~rank:0 m dag) = Some opt)
+        (Incumbent.submit shared ~nops:opt (fun () -> o.Optimal.best) : bool);
+      snd (Optimal.schedule_shared ~shared m dag) = Some opt
+      &&
+      match Incumbent.best shared with
+      | Some (v, r) -> v = opt && r == o.Optimal.best
+      | None -> false)
 
 let () =
   Alcotest.run "core"

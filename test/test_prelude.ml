@@ -476,94 +476,72 @@ let test_budget_expiry_lambda_only_when_tripped () =
   check bool_t "tripped" true (Budget.expiry b = Some Budget.Curtailed_lambda)
 
 (* ------------------------------------------------------------------ *)
-(* Incumbent: shared bound + deterministic tie-break                   *)
+(* Incumbent: shared monotone bound, first publisher keeps a tie      *)
 
 module Incumbent = Pipesched_prelude.Incumbent
 
 let test_incumbent_empty () =
   let t : int Incumbent.t = Incumbent.create () in
-  let g = Incumbent.gate t in
-  check bool_t "no bound" true (Incumbent.bound g = None);
+  check int_t "bound is max_int" max_int (Incumbent.bound t);
   check bool_t "no best" true (Incumbent.best t = None);
-  check bool_t "limit is max_int" true (Incumbent.limit g ~task:0 = max_int);
-  check bool_t "anything admitted" true (Incumbent.admits g ~nops:1000 ~task:5)
+  check bool_t "anything accepted" true
+    (Incumbent.submit t ~nops:1000 (fun () -> 0))
 
 let test_incumbent_monotone () =
   let t : string Incumbent.t = Incumbent.create () in
-  let g = Incumbent.gate t in
   check bool_t "first accepted" true
-    (Incumbent.submit t ~nops:10 ~task:3 (fun () -> "a"));
-  check bool_t "bound set" true (Incumbent.bound g = Some (10, 3));
+    (Incumbent.submit t ~nops:10 (fun () -> "a"));
+  check int_t "bound set" 10 (Incumbent.bound t);
   (* Worse value rejected; payload thunk never evaluated. *)
   check bool_t "worse rejected" false
-    (Incumbent.submit t ~nops:11 ~task:0 (fun () ->
+    (Incumbent.submit t ~nops:11 (fun () ->
          Alcotest.fail "payload evaluated on rejection"));
-  (* Equal value, higher rank rejected. *)
-  check bool_t "tie from higher rank rejected" false
-    (Incumbent.submit t ~nops:10 ~task:7 (fun () ->
+  (* Equal value rejected: the first schedule at a count keeps it. *)
+  check bool_t "tie rejected" false
+    (Incumbent.submit t ~nops:10 (fun () ->
          Alcotest.fail "payload evaluated on tie rejection"));
-  (* Equal value, lower rank wins: the deterministic tie-break. *)
-  check bool_t "tie from lower rank wins" true
-    (Incumbent.submit t ~nops:10 ~task:1 (fun () -> "b"));
-  check bool_t "owner updated" true (Incumbent.bound g = Some (10, 1));
-  (* Strictly better value from any rank wins. *)
-  check bool_t "better wins" true
-    (Incumbent.submit t ~nops:9 ~task:7 (fun () -> "c"));
+  check bool_t "first publisher kept" true (Incumbent.best t = Some (10, "a"));
+  (* A strictly better value wins. *)
+  check bool_t "better wins" true (Incumbent.submit t ~nops:9 (fun () -> "c"));
+  check int_t "bound lowered" 9 (Incumbent.bound t);
   check bool_t "final" true (Incumbent.best t = Some (9, "c"))
 
 let test_incumbent_seed_precedes_all () =
-  let t : unit Incumbent.t = Incumbent.create () in
-  let g = Incumbent.gate t in
+  let t : string Incumbent.t = Incumbent.create () in
   check bool_t "seed accepted" true
-    (Incumbent.submit t ~nops:4 ~task:(-1) (fun () -> ()));
-  (* No task can claim an equal-value tie against the seed. *)
+    (Incumbent.submit t ~nops:4 (fun () -> "seed"));
+  (* No searcher can claim an equal-value tie against the seed. *)
   check bool_t "tie vs seed rejected" false
-    (Incumbent.submit t ~nops:4 ~task:0 (fun () -> ()));
-  check bool_t "owner is seed" true (Incumbent.bound g = Some (4, -1))
-
-let test_incumbent_limit_tie_window () =
-  let t : unit Incumbent.t = Incumbent.create () in
-  let g = Incumbent.gate t in
-  ignore (Incumbent.submit t ~nops:6 ~task:5 (fun () -> ()) : bool);
-  (* Lower-ranked searchers may still explore value-6 ties (limit 7);
-     the owner itself and higher ranks may not (limit 6). *)
-  check int_t "lower rank keeps ties open" 7 (Incumbent.limit g ~task:2);
-  check int_t "owner closes ties" 6 (Incumbent.limit g ~task:5);
-  check int_t "higher rank closes ties" 6 (Incumbent.limit g ~task:9);
-  check int_t "seed outranks everyone" 7 (Incumbent.limit g ~task:(-1))
+    (Incumbent.submit t ~nops:4 (fun () -> "search"));
+  check bool_t "seed kept" true (Incumbent.best t = Some (4, "seed"))
 
 let test_incumbent_concurrent_converges () =
-  (* Hammer one incumbent from several domains with the same value set;
-     the final owner must be the least rank regardless of interleaving. *)
-  let t : int Incumbent.t = Incumbent.create () in
+  (* Hammer one incumbent from several domains.  Every domain must see
+     the bound only ever decrease, and the race must converge to the
+     least submitted value with a payload submitted at that value. *)
+  let t : (int * int) Incumbent.t = Incumbent.create () in
+  let value w i = 20 + ((i + w) mod 10) in
   let domains =
     List.init 4 (fun w ->
         Domain.spawn (fun () ->
+            let monotone = ref true and last = ref max_int in
             for i = 0 to 99 do
-              let task = ((i * 7) + w) mod 64 in
               ignore
-                (Incumbent.submit t ~nops:(20 + ((i + w) mod 10)) ~task
-                   (fun () -> task)
-                  : bool)
-            done))
+                (Incumbent.submit t ~nops:(value w i) (fun () -> (w, i))
+                  : bool);
+              let b = Incumbent.bound t in
+              if b > !last then monotone := false;
+              last := b
+            done;
+            !monotone))
   in
-  List.iter Domain.join domains;
-  (* Minimum submitted value is 20; every task rank in 0..63 submits it
-     in some domain's sequence... the winner must be (20, least rank that
-     submitted 20).  Compute that reference serially. *)
-  let min_rank = ref max_int in
-  for w = 0 to 3 do
-    for i = 0 to 99 do
-      if 20 + ((i + w) mod 10) = 20 then begin
-        let task = ((i * 7) + w) mod 64 in
-        if task < !min_rank then min_rank := task
-      end
-    done
-  done;
-  check bool_t "converged to least rank" true
-    (Incumbent.bound (Incumbent.gate t) = Some (20, !min_rank));
-  check bool_t "payload matches owner" true
-    (Incumbent.best t = Some (20, !min_rank))
+  check bool_t "bound never rises" true
+    (List.for_all Fun.id (List.map Domain.join domains));
+  check int_t "converged to the least value" 20 (Incumbent.bound t);
+  match Incumbent.best t with
+  | Some (20, (w, i)) ->
+    check int_t "payload submitted at the bound" 20 (value w i)
+  | _ -> Alcotest.fail "best does not match the bound"
 
 (* ------------------------------------------------------------------ *)
 (* Lru                                                                 *)
@@ -952,8 +930,6 @@ let () =
             test_incumbent_monotone;
           Alcotest.test_case "seed precedes all" `Quick
             test_incumbent_seed_precedes_all;
-          Alcotest.test_case "tie window by rank" `Quick
-            test_incumbent_limit_tie_window;
           Alcotest.test_case "concurrent converges" `Quick
             test_incumbent_concurrent_converges ] );
       ( "lru",

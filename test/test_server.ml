@@ -448,7 +448,7 @@ let test_degrade_on_shed () =
     draw 0xde6e [] 0
   in
   let server = Server.create ~degrade:true () in
-  let st = Daemon.create ~max_queue ~degrade:true server in
+  let st = Daemon.create ~max_queue server in
   let answers = Array.make burst [] in
   let write resp =
     let r = parse_resp resp in
