@@ -8,7 +8,15 @@
 
     Passes are idempotent but enable each other (folding creates dead
     constants; CSE creates dead loads; peephole creates copies), so
-    {!optimize} iterates the pipeline to a fixpoint. *)
+    {!optimize} iterates the pipeline to a fixpoint.  It loads the block
+    once into an int-array slot buffer; each pass reports whether it
+    dropped a tuple or rewrote an op or operand, and the iteration stops
+    at the first round in which no pass did (or after 11 rounds).  The
+    result is renumbered, validated and built as a block once, at the
+    end.
+
+    Each single pass below loads the block, runs that pass alone and
+    keeps the block's own tuple ids (except {!renumber}). *)
 
 open Pipesched_ir
 
@@ -19,8 +27,9 @@ val const_fold : Block.t -> Block.t
 
 (** Algebraic simplifications on immediate operands: [x+0], [x-0], [x*1],
     [x*0], [x/1], [x&0], [x|0], [x^0], [x<<0], [x>>0], [x-x], [x^x],
-    [-(-x)], and strength reduction of [x * 2^k] to [x << k] (which also
-    moves work off the multiplier pipeline). *)
+    and strength reduction of [x * 2^k] to [x << k] (which also moves
+    work off the multiplier pipeline).  [-(-x)] is rewritten by
+    {!optimize}'s double-negation pass, which runs after this one. *)
 val peephole : Block.t -> Block.t
 
 (** Eliminate [Mov] tuples by forwarding their operand to all users. *)
@@ -42,5 +51,7 @@ val dead_store : Block.t -> Block.t
 (** Renumber tuple ids sequentially from 1 (cosmetic; applied last). *)
 val renumber : Block.t -> Block.t
 
-(** The full pipeline iterated to a fixpoint, then renumbered. *)
+(** The full pipeline (constant folding, peephole, double negation,
+    copy propagation, CSE, DCE, dead stores) iterated to a fixpoint,
+    then renumbered. *)
 val optimize : Block.t -> Block.t

@@ -2,7 +2,7 @@ module Json = Pipesched_prelude.Json
 module Fault = Pipesched_prelude.Fault
 
 type job = {
-  line : string;
+  req : (Json.t, string) result; (* the line, parsed once on intake *)
   write : string -> unit;
   on_done : unit -> unit;
       (* always runs exactly once, whether the job's write succeeded,
@@ -107,6 +107,9 @@ let est_wait_ms t ~depth =
   else float_of_int depth
 
 let submit t ~line ~write ~on_done =
+  (* Parsed before taking the lock: the deadline check, the shed
+     answers and the worker all read this one parse. *)
+  let req = Json.parse line in
   Mutex.lock t.qmutex;
   if t.draining then begin
     Mutex.unlock t.qmutex;
@@ -123,7 +126,7 @@ let submit t ~line ~write ~on_done =
     let unmeetable =
       (not over_bounds) && t.ewma_ms > 0.0 && depth > 0
       &&
-      match Json.parse line with
+      match req with
       | Error _ -> false
       | Ok req -> (
         match Option.bind (Json.member "deadline_ms" req) Json.to_float_opt with
@@ -139,10 +142,10 @@ let submit t ~line ~write ~on_done =
          server was created to degrade, an explicit overload refusal
          otherwise. *)
       if Server.degrade t.server then
-        write (Server.handle_line_degraded t.server line)
+        write (Server.handle_parsed_degraded t.server req)
       else begin
         let id =
-          match Json.parse line with
+          match req with
           | Ok req -> Option.value ~default:Json.Null (Json.member "id" req)
           | Error _ -> Json.Null
         in
@@ -151,7 +154,7 @@ let submit t ~line ~write ~on_done =
       Answered
     end
     else begin
-      Queue.push { line; write; on_done } t.queue;
+      Queue.push { req; write; on_done } t.queue;
       Condition.signal t.qcond;
       Mutex.unlock t.qmutex;
       Accepted
@@ -260,14 +263,14 @@ let worker t _rank =
           observe_locked t ((Unix.gettimeofday () -. t0) *. 1000.0);
           Mutex.unlock t.qmutex)
         (fun () ->
-          (* [Server.handle_line] never raises — request-level faults are
+          (* [Server.handle_parsed] never raises — request-level faults are
              contained inside it.  The write back to the client is this
              worker's own hazard: a vanished client (EPIPE, closed pipe)
              or an armed [write_response] chaos fault is an expected,
              per-connection failure and is contained here; anything else
              is an unknown bug and is allowed to kill the worker, which
              the supervisor then respawns. *)
-          let response = Server.handle_line t.server job.line in
+          let response = Server.handle_parsed t.server job.req in
           (try
              Fault.guard Fault.Write_response ~key:response;
              job.write response

@@ -15,10 +15,11 @@
       smoothed service time already exceeds it) is refused up front
       with a [retry_after_ms] hint instead of being solved for nobody;
     + {b graceful degradation}: when the server was created with
-      [~degrade:true], would-be-shed requests are answered immediately
-      on the intake thread by the certified list scheduler
-      ({!Server.handle_line_degraded}) — a legal schedule now instead
-      of an optimal schedule never;
+      [~degrade:true], would-be-shed scheduling requests are answered
+      immediately on the intake thread by the certified list scheduler
+      ({!Server.handle_parsed_degraded}) — a legal schedule now instead
+      of an optimal schedule never — and shed [stats] and [ping] ops
+      are answered as usual, since they run no search;
     + {b fault containment}: a failed response write (client gone,
       EPIPE, or an armed {!Pipesched_prelude.Fault.Write_response}
       chaos fault) is contained and counted; any {e unexpected}
@@ -64,8 +65,9 @@ val server : t -> Server.t
 (** The response line sent to a request that arrives while draining. *)
 val shutdown_response : string
 
-(** [submit t ~line ~write ~on_done] runs admission control and either
-    enqueues the job or answers it on the spot; see {!admission}.
+(** [submit t ~line ~write ~on_done] parses [line] once, before taking
+    the queue lock, then runs admission control and either enqueues the
+    parsed job or answers it on the spot; see {!admission}.
     [on_done] is called exactly once when an [Accepted] job has been
     fully processed (response written or write failure contained) — and
     never for [Answered]/[Draining] — so a connection reader can wait
@@ -99,7 +101,7 @@ val install_listener : t -> Unix.file_descr -> bool
 val reader_loop : t -> in_channel -> (string -> unit) -> unit
 
 (** [worker t rank] drains jobs (handling each with
-    {!Server.handle_line} and answering on the job's own writer) until
+    {!Server.handle_parsed} and answering on the job's own writer) until
     the queue is empty {e and} the daemon is draining.  Expected write
     failures are contained (see the module preamble); unexpected
     exceptions propagate and kill the calling domain. *)

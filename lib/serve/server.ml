@@ -175,11 +175,9 @@ let degraded_of blk machine t id ~cached =
     render id ~order:result.Omega.order result ~completed:false
       ~status:"Degraded" ~degraded:true ~cached:(cached false)
 
-(* The daemon's answer to a request it sheds: the certified list
-   schedule, with no search.  Non-scheduling fields ([op] etc.) are not
-   consulted. *)
-let handle_request_degraded t req =
-  let id = Option.value ~default:Json.Null (Json.member "id" req) in
+(* The daemon's answer to a scheduling request it sheds: the certified
+   list schedule, with no search. *)
+let degraded_request t id req =
   match resolve_request req with
   | Error msg -> error_response id msg
   | Ok (machine, blk) ->
@@ -286,7 +284,9 @@ let schedule_request t id req =
             ~status:(Budget.status_to_string status)
             ~degraded:false ~cached:(cached false)))))
 
-let handle_request t req =
+(* The protocol's op dispatch; [schedule] answers a request with no
+   [op]. *)
+let dispatch schedule t req =
   let id = Option.value ~default:Json.Null (Json.member "id" req) in
   match Json.member "op" req with
   | Some (Json.String "stats") -> stats_response t id
@@ -295,15 +295,15 @@ let handle_request t req =
   | Some (Json.String op) ->
     error_response id (Printf.sprintf "unknown op %S" op)
   | Some _ -> error_response id "\"op\" must be a string"
-  | None -> schedule_request t id req
+  | None -> schedule t id req
 
-(* Parse one protocol line and answer it with [answer].  Malformed JSON
+(* Answer one parsed protocol line with [answer].  Malformed JSON
    becomes an error response, and so does any exception escaping
    [answer]: the outer belt-and-braces boundary, so even a fault
    escaping the per-request containment costs only this request. *)
-let answer_line t answer line =
+let answer_parsed t answer parsed =
   let response =
-    match Json.parse line with
+    match parsed with
     | Error msg -> error_response Json.Null msg
     | Ok req -> (
       match answer t req with
@@ -315,5 +315,9 @@ let answer_line t answer line =
   in
   Json.to_string response
 
-let handle_line t line = answer_line t handle_request line
-let handle_line_degraded t line = answer_line t handle_request_degraded line
+let handle_parsed t parsed = answer_parsed t (dispatch schedule_request) parsed
+
+let handle_parsed_degraded t parsed =
+  answer_parsed t (dispatch degraded_request) parsed
+
+let handle_line t line = handle_parsed t (Json.parse line)

@@ -73,7 +73,7 @@
     ["degraded": true] with status ["Degraded"] and [completed: false] —
     a legal schedule with no optimality claim.  The daemon of such a
     server also answers requests it would otherwise shed through
-    {!handle_line_degraded}.  Any exception escaping a request — solver, cache insert,
+    {!handle_parsed_degraded}.  Any exception escaping a request — solver, cache insert,
     anything — is confined to that request's error response and counted
     in {!contained}; one poisoned request can never take the process
     down.
@@ -117,13 +117,22 @@ val degrade : t -> bool
     malformed input yields an [ok: false] response. *)
 val handle_line : t -> string -> string
 
-(** [handle_line_degraded t line] answers a scheduling request line
-    with the certified list scheduler, skipping the optimal search
-    entirely — the daemon's graceful-degradation path for requests that
-    would otherwise be shed.  The response carries ["degraded": true];
-    non-scheduling fields ([op] etc.) are ignored.  Same parsing and
-    containment as {!handle_line}, so it never raises. *)
-val handle_line_degraded : t -> string -> string
+(** [handle_parsed t parsed] answers a line the caller has already
+    parsed with {!Pipesched_prelude.Json.parse}: [handle_line t line]
+    is [handle_parsed t (Json.parse line)].  The daemon parses each
+    line once, on intake, and answers from that result.  Never
+    raises. *)
+val handle_parsed :
+  t -> (Pipesched_prelude.Json.t, string) result -> string
+
+(** [handle_parsed_degraded t parsed] is the daemon's answer to a line
+    it sheds.  A scheduling request is answered with the certified list
+    scheduler, skipping the optimal search entirely; the response
+    carries ["degraded": true].  The [stats] and [ping] ops, which run
+    no search, are answered as by {!handle_parsed}.  Same containment,
+    so it never raises. *)
+val handle_parsed_degraded :
+  t -> (Pipesched_prelude.Json.t, string) result -> string
 
 (** {2 Counters} (monotone since {!create}) *)
 

@@ -425,7 +425,8 @@ let test_admission_deadline_unmeetable () =
    scheduler, instead of refusing or dropping them.  Every request gets
    exactly one answer, none is an error, and each degraded order is
    exactly the Max_distance list schedule of its block: no search ran
-   for it, which is what makes shedding cheap.  No clock is read, so the
+   for it, which is what makes shedding cheap.  A ping and a stats line
+   shed with them get their usual answers.  No clock is read, so the
    verdict does not depend on the host's speed. *)
 let test_degrade_on_shed () =
   let module Generator = Pipesched_synth.Generator in
@@ -466,6 +467,29 @@ let test_degrade_on_shed () =
       | Daemon.Draining -> Alcotest.fail "refused before shutdown")
     blocks;
   check int_t "queued up to the bound" max_queue !accepted;
+  (* The queue is still full, so a ping and a stats line are shed too.
+     They run no search, so they are answered as usual, not degraded. *)
+  let op_answers = ref [] in
+  List.iter
+    (fun line ->
+      match
+        Daemon.submit st ~line
+          ~write:(fun r -> op_answers := parse_resp r :: !op_answers)
+          ~on_done:ignore
+      with
+      | Daemon.Answered -> ()
+      | Daemon.Accepted | Daemon.Draining -> Alcotest.failf "not shed: %s" line)
+    [ "{\"id\": \"p\", \"op\": \"ping\"}";
+      "{\"id\": \"s\", \"op\": \"stats\"}" ];
+  (match List.rev !op_answers with
+  | [ ping; stats ] ->
+    check bool_t "shed ping ok" true
+      (Json.member "ok" ping = Some (Json.Bool true));
+    check bool_t "shed stats ok" true
+      (Json.member "ok" stats = Some (Json.Bool true));
+    check bool_t "shed stats carries hits" true
+      (match Json.member "hits" stats with Some (Json.Int _) -> true | _ -> false)
+  | rs -> Alcotest.failf "%d answers to the shed ops" (List.length rs));
   Daemon.begin_shutdown st;
   Daemon.worker st 0;
   let optimal = ref 0 and degraded = ref 0 in
@@ -505,7 +529,7 @@ let test_degrade_on_shed () =
     answers;
   check int_t "answered by the search" max_queue !optimal;
   check int_t "answered degraded" (burst - max_queue) !degraded;
-  check int_t "shed counted" (burst - max_queue) (Daemon.shed st);
+  check int_t "shed counted" (burst - max_queue + 2) (Daemon.shed st);
   check int_t "degraded counted" (burst - max_queue)
     (Server.degraded_served server);
   check int_t "served by the worker" max_queue (Daemon.served st)

@@ -140,6 +140,51 @@ let test_batch () =
   check bool_t "deterministic" true
     (List.for_all2 Block.equal blocks blocks')
 
+(* Pins the text of generated blocks: instruction order, tuple ids and
+   operands, which test_ir's canonical digest does not see.  It covers
+   the study's blocks, the same programs compiled in reuse mode, each
+   exported pass applied alone to the raw block (each keeps the block's
+   own ids, except renumber), and the blocks of lowered structured
+   programs.  It must not move unless a change means to change what the
+   front end emits. *)
+let generator_golden_digest = "4d32484527d9d3cdfab7c23c4e398aca"
+
+let test_generator_golden () =
+  let buf = Buffer.create (1 lsl 22) in
+  let record blk =
+    Buffer.add_string buf (Block.to_string blk);
+    Buffer.add_string buf "\n\n"
+  in
+  let passes =
+    [ Opt.const_fold; Opt.peephole; Opt.copy_prop; Opt.cse; Opt.dce;
+      Opt.dead_store; Opt.renumber ]
+  in
+  for i = 0 to 1999 do
+    let s = Schedule.seed_at ~seed:18 i in
+    record (Generator.of_seed s);
+    let rng = Rng.create s in
+    let prog = Generator.program rng (Generator.sample_params rng) in
+    record (Compile.compile_program ~reuse:true prog);
+    let raw = Gen.generate prog in
+    List.iter (fun pass -> record (pass raw)) passes
+  done;
+  let rng = Rng.create 18 in
+  for _ = 1 to 300 do
+    let prog =
+      Generator.structured_program rng
+        { Generator.statements = 8 + Rng.int rng 10;
+          variables = 4 + Rng.int rng 4;
+          constants = 2 + Rng.int rng 3 }
+        ~depth:2
+    in
+    let cfg = Pipesched_cflow.Lower.lower prog in
+    for n = 0 to Pipesched_cflow.Cfg.length cfg - 1 do
+      record (Pipesched_cflow.Cfg.node cfg n).Pipesched_cflow.Cfg.block
+    done
+  done;
+  check Alcotest.string "digest of Block.to_string" generator_golden_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* ------------------------------------------------------------------ *)
 (* Kernels                                                             *)
 
@@ -356,7 +401,8 @@ let () =
           Alcotest.test_case "op mix follows frequency" `Quick
             test_op_mix_follows_frequency;
           Alcotest.test_case "size mix shape" `Quick test_size_mix_shape;
-          Alcotest.test_case "batch" `Quick test_batch ] );
+          Alcotest.test_case "batch" `Quick test_batch;
+          Alcotest.test_case "golden digest" `Quick test_generator_golden ] );
       ( "schedule",
         [ Alcotest.test_case "determinism" `Quick test_schedule_determinism;
           Alcotest.test_case "limited/drop laws" `Quick
