@@ -68,11 +68,13 @@ let validate cfg =
 
 (* Everything that determines the deterministic aggregate — and nothing
    that doesn't ([jobs], [dedup_capacity], [checkpoint_every] are all
-   result-transparent), so a resume may legally change those. *)
+   result-transparent), so a resume may legally change those.  The
+   canonical form is among it: the aggregate counts canonical hashes,
+   and the searches run on canonical blocks. *)
 let config_fingerprint cfg =
   Printf.sprintf
-    "v1;seed=%d;count=%d;shards=%d;lambda=%d;certify=%b;machine=%s"
-    cfg.seed cfg.count cfg.shards cfg.lambda cfg.certify
+    "v1;canonical=%d;seed=%d;count=%d;shards=%d;lambda=%d;certify=%b;machine=%s"
+    Canonical.version cfg.seed cfg.count cfg.shards cfg.lambda cfg.certify
     (Machine.fingerprint (resolve_machine cfg))
 
 (* ------------------------------------------------------------------ *)
@@ -337,15 +339,16 @@ let worker_main cfg ~shard ~resume =
   let solve idx =
     let bseed = Schedule.seed_at ~seed:cfg.seed idx in
     let blk = Generator.of_seed bseed in
-    let c = Canonical.of_block blk in
-    match Lru.find cache c.Canonical.key with
-    | Some r -> (c.Canonical.hash, true, { r with Study.unique = false })
+    let l = Canonical.label (Dag.of_block blk) in
+    match Lru.find cache l.Canonical.key with
+    | Some r -> (l.Canonical.hash, true, { r with Study.unique = false })
     | None ->
       let r =
-        Study.run_block ~options ~certify:cfg.certify machine c.Canonical.block
+        Study.run_block ~options ~certify:cfg.certify machine
+          (Canonical.materialize l)
       in
-      Lru.put cache c.Canonical.key r;
-      (c.Canonical.hash, false, r)
+      Lru.put cache l.Canonical.key r;
+      (l.Canonical.hash, false, r)
   in
   let crash = crash_spec () in
   let done_ = ref start in

@@ -14,8 +14,9 @@
     serial run would generate, which is the first half of the
     byte-identity contract.
 
-    {b Determinism.}  Each worker canonicalizes its block
-    ({!Pipesched_ir.Canonical}) and searches the {e canonical} block, so
+    {b Determinism.}  Each worker labels its block
+    ({!Pipesched_ir.Canonical.label}) and, on a dedup miss, searches the
+    {e canonical} block ({!Pipesched_ir.Canonical.materialize}), so
     a block's record is a pure function of its canonical class.  The
     per-shard dedup LRU is then transparent: a cache hit replays
     byte-for-byte the record a fresh search would produce — which is why
@@ -25,7 +26,7 @@
     {b Checkpoint / resume.}  Every [checkpoint_every] blocks a worker
     atomically (write-temp + rename) persists its full aggregate plus a
     config fingerprint (master seed, count, shards, lambda, machine
-    fingerprint, ...).  [resume = true] restarts each shard from its
+    fingerprint, {!Pipesched_ir.Canonical.version}, ...).  [resume = true] restarts each shard from its
     last valid checkpoint — a killed run (worker {e or} master: master
     state is reconstructed entirely from the checkpoints) loses at most
     [checkpoint_every] blocks per shard, and the resumed run's aggregate

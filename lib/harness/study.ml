@@ -224,7 +224,7 @@ let run ?(options = default_options) ?deadline_s ?block_deadline_s ?freq
       (Pool.parallel_map_result ?jobs
          (fun s ->
            let blk = generate s in
-           (blk, (Canonical.of_block blk).Canonical.key))
+           (blk, (Canonical.label (Dag.of_block blk)).Canonical.key))
          seed_list)
 
 type aggregate = {

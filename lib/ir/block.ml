@@ -110,18 +110,30 @@ let to_string b =
   Buffer.contents buf
 
 let parse text =
-  let rec go lineno acc = function
-    | [] -> (
+  let n = String.length text in
+  (* [String.trim]'s whitespace, which a blank line is made of. *)
+  let is_space = function
+    | ' ' | '\012' | '\n' | '\r' | '\t' -> true
+    | _ -> false
+  in
+  let rec eol i = if i = n || text.[i] = '\n' then i else eol (i + 1) in
+  let rec skip i stop =
+    if i < stop && is_space text.[i] then skip (i + 1) stop else i
+  in
+  let rec go lineno start acc =
+    let stop = eol start in
+    let lo = skip start stop in
+    (* Only full-line comments: '#' also prefixes variable operands. *)
+    if lo = stop || text.[lo] = '#' then next lineno stop acc
+    else
+      match Tuple.of_substring text lo (stop - lo) with
+      | Ok tu -> next lineno stop (tu :: acc)
+      | Error msg -> Error (lineno, msg)
+  and next lineno stop acc =
+    if stop < n then go (lineno + 1) (stop + 1) acc
+    else
       match of_tuples (List.rev acc) with
       | Ok blk -> Ok blk
-      | Error msg -> Error (0, msg))
-    | raw :: rest ->
-      (* Only full-line comments: '#' also prefixes variable operands. *)
-      let body = String.trim raw in
-      if body = "" || body.[0] = '#' then go (lineno + 1) acc rest
-      else
-        match Tuple.of_string body with
-        | Ok tu -> go (lineno + 1) (tu :: acc) rest
-        | Error msg -> Error (lineno, msg)
+      | Error msg -> Error (0, msg)
   in
-  go 1 [] (String.split_on_char '\n' text)
+  go 1 0 []

@@ -1,9 +1,13 @@
+type labeling = { perm : int array; key : string; hash : int }
+
 type t = {
   block : Block.t;
   perm : int array;
   key : string;
   hash : int;
 }
+
+let version = 2
 
 let hash_string s =
   (* FNV-1a, 64-bit arithmetic on OCaml's native int (the top bit is
@@ -14,10 +18,25 @@ let hash_string s =
   done;
   !h
 
-let op_index =
-  let tbl = Hashtbl.create 16 in
-  List.iteri (fun i op -> Hashtbl.replace tbl op i) Op.all;
-  fun op -> Hashtbl.find tbl op
+(* An op's position in [Op.all], which [ops] inverts. *)
+let op_index = function
+  | Op.Const -> 0
+  | Op.Load -> 1
+  | Op.Store -> 2
+  | Op.Mov -> 3
+  | Op.Add -> 4
+  | Op.Sub -> 5
+  | Op.Mul -> 6
+  | Op.Div -> 7
+  | Op.Mod -> 8
+  | Op.Neg -> 9
+  | Op.And -> 10
+  | Op.Or -> 11
+  | Op.Xor -> 12
+  | Op.Shl -> 13
+  | Op.Shr -> 14
+
+let ops = Array.of_list Op.all
 
 let kind_index = function
   | Dag.Data -> 0
@@ -25,37 +44,43 @@ let kind_index = function
   | Dag.Mem_anti -> 2
   | Dag.Mem_output -> 3
 
-(* Sorts [a.(0 .. len-1)] ascending in place.  Neighbour lists are
-   short, so insertion sort; a long one (a value read by many tuples)
-   falls back to [Array.sort] rather than go quadratic. *)
-let sort_prefix a len =
+(* Folds [x] into the hash state [h]: a 63-bit multiply-xorshift
+   (splitmix's finalizer, constants cut to OCaml's int), which allocates
+   nothing.  Everything folded is either a small structural count or an
+   earlier mix, so [h lxor x] colliding needs two mixes to agree in
+   some 60 bits. *)
+let[@inline] mix h x =
+  let z = (h lxor x) * 0x3f58476d1ce4e5b9 in
+  let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
+  z lxor (z lsr 31)
+
+(* Sorts [a.(off .. off+len-1)] ascending in place.  Neighbour lists
+   are short, so insertion sort; a long one (a value read by many
+   tuples) falls back to [Array.sort] rather than go quadratic. *)
+let sort_range a off len =
   if len <= 16 then
-    for i = 1 to len - 1 do
+    for i = off + 1 to off + len - 1 do
       let x = a.(i) in
       let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > x do
+      while !j >= off && a.(!j) > x do
         a.(!j + 1) <- a.(!j);
         decr j
       done;
       a.(!j + 1) <- x
     done
   else begin
-    let s = Array.sub a 0 len in
+    let s = Array.sub a off len in
     Array.sort Int.compare s;
-    Array.blit s 0 a 0 len
+    Array.blit s 0 a off len
   end
 
-(* Scratch space of one canonicalization, sized to the block. *)
+(* Scratch space of one labeling, sized to the block. *)
 type scratch = {
   next : int array;  (** the colors of the round being computed *)
-  edge_hash : int array;
-      (** [Hashtbl.hash (k, color u)] at [k * n + u] this round, or [-1]
-          before it is first needed *)
   buf : int array;  (** sort space: any neighbour list fits in [n] *)
   seen : int array;
       (** open-addressing set of colors, a power of two of at least [2n]
-          slots; [-1] is empty (colors are [Hashtbl.hash] values, never
-          negative) *)
+          slots; [-1] is empty (colors are never negative) *)
 }
 
 let scratch n =
@@ -63,14 +88,14 @@ let scratch n =
   while !slots < 2 * n do
     slots := 2 * !slots
   done;
-  { next = Array.make n 0; edge_hash = Array.make (4 * n) (-1);
-    buf = Array.make n 0; seen = Array.make !slots (-1) }
+  { next = Array.make n 0; buf = Array.make n 0;
+    seen = Array.make !slots (-1) }
 
 (* ------------------------------------------------------------------ *)
 (* Refinement: Weisfeiler-Leman colors over the DAG.                   *)
 
-(* Number of distinct colors.  Colors are hash values, so their low
-   bits index the set directly. *)
+(* Number of distinct colors.  Colors are mixes, so their low bits
+   index the set directly. *)
 let distinct sc color =
   let seen = sc.seen in
   let mask = Array.length seen - 1 in
@@ -89,31 +114,27 @@ let distinct sc color =
     color;
   !c
 
-(* The sorted list of [Hashtbl.hash (kind, color u)] over one side's
-   neighbours [u].  A node meets the same (kind, color) from each of its
-   neighbours, so each hash is computed once per round. *)
-let side sc color nbrs kinds =
+(* Folds one side's neighbours into [h]: their number, then their codes
+   [mix kind (color u)] in sorted order. *)
+let side sc color nbrs kinds h =
   let d = Array.length nbrs in
-  let n = Array.length color in
   let buf = sc.buf in
   for i = 0 to d - 1 do
-    let u = nbrs.(i) and k = kind_index kinds.(i) in
-    let slot = (k * n) + u in
-    let h = sc.edge_hash.(slot) in
-    buf.(i) <-
-      (if h >= 0 then h
-       else begin
-         let h = Hashtbl.hash (k, color.(u)) in
-         sc.edge_hash.(slot) <- h;
-         h
-       end)
+    buf.(i) <- mix (kind_index kinds.(i)) color.(nbrs.(i))
   done;
-  sort_prefix buf d;
-  let l = ref [] in
-  for i = d - 1 downto 0 do
-    l := buf.(i) :: !l
+  if d = 2 then begin
+    let x = buf.(0) and y = buf.(1) in
+    if x > y then begin
+      buf.(0) <- y;
+      buf.(1) <- x
+    end
+  end
+  else if d > 2 then sort_range buf 0 d;
+  let h = ref (mix h d) in
+  for i = 0 to d - 1 do
+    h := mix !h buf.(i)
   done;
-  !l
+  !h
 
 (* Refines [color] in place. *)
 let refine dag sc color =
@@ -121,15 +142,16 @@ let refine dag sc color =
   let next = sc.next in
   (* Each round folds in one more hop of structure; [n] rounds always
      suffice, and the class count is monotone, so stop as soon as a
-     round fails to split any class. *)
+     round fails to split any class, or once every node has its own
+     color and none can split. *)
   let classes = ref (distinct sc color) in
   let round = ref 0 in
-  while !round < n do
-    Array.fill sc.edge_hash 0 (4 * n) (-1);
+  while !round < n && !classes < n do
     for v = 0 to n - 1 do
-      let ps = side sc color (Dag.preds_arr dag v) (Dag.pred_kinds dag v) in
-      let ss = side sc color (Dag.succs_arr dag v) (Dag.succ_kinds dag v) in
-      next.(v) <- Hashtbl.hash (color.(v), ps, ss)
+      let h = color.(v) in
+      let h = side sc color (Dag.preds_arr dag v) (Dag.pred_kinds dag v) h in
+      let h = side sc color (Dag.succs_arr dag v) (Dag.succ_kinds dag v) h in
+      next.(v) <- h land max_int
     done;
     Array.blit next 0 color 0 n;
     let c = distinct sc color in
@@ -173,10 +195,9 @@ let canonical_order dag sc opix color =
   let write_codes v =
     let ps = Dag.preds_arr dag v and ks = Dag.pred_kinds dag v in
     for i = 0 to deg.(v) - 1 do
-      sc.buf.(i) <- (placed.(ps.(i)) * 8) + kind_index ks.(i)
+      codes.(off.(v) + i) <- (placed.(ps.(i)) * 8) + kind_index ks.(i)
     done;
-    sort_prefix sc.buf deg.(v);
-    Array.blit sc.buf 0 codes off.(v) deg.(v)
+    sort_range codes off.(v) deg.(v)
   in
   let compare_keys v w =
     let c = compare_codes codes off.(v) deg.(v) off.(w) deg.(w) in
@@ -198,163 +219,242 @@ let canonical_order dag sc opix color =
     in
     Array.length sv = Array.length sw && same 0
   in
-  for j = 0 to n - 1 do
-    let best = ref (-1) and tied = ref [] in
-    for v = 0 to n - 1 do
-      if placed.(v) < 0 && indeg.(v) = 0 then begin
-        let c = if !best < 0 then -1 else compare_keys v !best in
-        if c < 0 then begin
-          best := v;
-          tied := []
-        end
-        else if c = 0 then tied := v :: !tied
-      end
+  (* The ready nodes, sorted by key and then position, greatest first:
+     the pick — the least key, and among equal keys the first position —
+     is the last.  A ready node's key changes only when a refinement
+     recolors the DAG, and then the whole list is re-sorted. *)
+  let ready = Array.make n 0 and nready = ref 0 in
+  let greater v w =
+    let c = compare_keys v w in
+    c > 0 || (c = 0 && v > w)
+  in
+  let insert v =
+    let lo = ref 0 and hi = ref !nready in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if greater ready.(mid) v then lo := mid + 1 else hi := mid
     done;
-    let v = !best in
+    for i = !nready downto !lo + 1 do
+      ready.(i) <- ready.(i - 1)
+    done;
+    ready.(!lo) <- v;
+    incr nready
+  in
+  for v = 0 to n - 1 do
+    if deg.(v) = 0 then insert v
+  done;
+  for j = 0 to n - 1 do
+    decr nready;
+    let v = ready.(!nready) in
+    (* Does [v] tie with a ready node that is not its twin? *)
+    let rec untwinned_tie i =
+      i >= 0
+      && compare_keys ready.(i) v = 0
+      && ((not (twins v ready.(i))) || untwinned_tie (i - 1))
+    in
+    let individualize = untwinned_tie (!nready - 1) in
     placed.(v) <- j;
     perm.(j) <- v;
-    Array.iter
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then write_codes w)
-      (Dag.succs_arr dag v);
+    let succs = Dag.succs_arr dag v in
+    for i = 0 to Array.length succs - 1 do
+      let w = succs.(i) in
+      indeg.(w) <- indeg.(w) - 1;
+      if indeg.(w) = 0 then begin
+        write_codes w;
+        insert w
+      end
+    done;
     (* Other ties stop being interchangeable once one is placed: the
        next picks must follow the placed node's neighbourhood, not the
        input order (in [Load a; Const; And; Load b; Const; And] the
        [Const] sharing an [And] with the placed [Load] must come first).
        So individualize the chosen node and let refinement carry its
        position through the DAG. *)
-    if List.exists (fun w -> not (twins v w)) !tied then begin
-      color.(v) <- Hashtbl.hash (color.(v), j);
-      refine dag sc color
+    if individualize then begin
+      color.(v) <- mix color.(v) j land max_int;
+      refine dag sc color;
+      let sorted = Array.sub ready 0 !nready in
+      Array.sort
+        (fun v w -> if v = w then 0 else if greater v w then -1 else 1)
+        sorted;
+      Array.blit sorted 0 ready 0 !nready
     end
   done;
   (perm, placed)
 
 (* ------------------------------------------------------------------ *)
-(* Materialization: rebuild the block in canonical clothing.           *)
+(* The key: the canonical block, packed.                               *)
 
-let materialize dag blk placed perm =
+(* Appends [x >= 0] as a LEB128 varint: seven bits a byte, low first,
+   the high bit set on every byte but the last. *)
+let rec add_varint buf x =
+  if x < 0x80 then Buffer.add_char buf (Char.unsafe_chr x)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (x land 0x7f)));
+    add_varint buf (x lsr 7)
+  end
+
+(* Union-find root, with path compression. *)
+let rec find parent i =
+  if parent.(i) = i then i
+  else begin
+    parent.(i) <- find parent parent.(i);
+    parent.(i)
+  end
+
+(* Per canonical position, the op index and two operand codes, which
+   is all the canonical block's text varies in:
+
+   - a data operand is its canonical producer position + 1, or 0 for an
+     immediate or no operand.  A binary op's pair is the {e set} of its
+     producers, ascending and padded with 0: the DAG keeps one Data
+     edge per (producer, consumer) pair and never sees operand sides
+     ([Or t1, t1] and [Or 3, t1] are structurally identical, and Omega
+     treats operands symmetrically);
+   - a memory operand (a [Load]'s, or a [Store]'s first) is its group
+     number + 1, or 0 for a private variable.  Canonical variables must
+     be a function of the DAG alone, not of source-variable sharing the
+     DAG cannot see: an anti dependence (load x before store x) whose
+     pair already carries a data edge is recorded as [Data] by
+     [Dag.of_block] (first kind wins), so two stores can share a
+     variable with a load textually while being structurally
+     indistinguishable.  So the memory ops connected by the memory-kind
+     edges the DAG recorded form groups (union-find), numbered by first
+     canonical occurrence; a memory op with no recorded memory edge
+     gets a private variable (unordered loads carry no constraint, so
+     splitting them is invisible to Omega and maximizes dedup), which
+     reproduces the original edge set exactly, since any relation to
+     its old var-mates either never existed or survives as the data
+     edge.
+
+   The op fixes how the two codes read, so the key and the canonical
+   block (see [materialize]) determine each other. *)
+let pack dag opix perm placed =
   let n = Array.length perm in
-  (* Canonical variable names must be a function of the DAG alone, not
-     of source-variable sharing the DAG cannot see: an anti dependence
-     (load x before store x) whose pair already carries a data edge is
-     recorded as [Data] by [Dag.of_block] (first kind wins), so two
-     stores can share a variable with a load textually while being
-     structurally indistinguishable.  Group memory operations by the
-     memory-kind edges the DAG actually recorded (union-find); each
-     group renamed [s<k>] by first canonical occurrence.  A memory op
-     with no recorded memory edge gets a private variable — [l<j>] for
-     loads (unordered loads carry no constraint; splitting them is
-     invisible to Omega and maximizes dedup) — which reproduces the
-     original edge set exactly, since any relation to its old
-     var-mates either never existed or survives as the data edge. *)
   let parent = Array.init n Fun.id in
-  let rec find i =
-    if parent.(i) = i then i
-    else begin
-      parent.(i) <- find parent.(i);
-      parent.(i)
-    end
-  in
+  let find = find parent in
   for v = 0 to n - 1 do
-    let ks = Dag.pred_kinds dag v in
-    Array.iteri
-      (fun i u ->
-        match ks.(i) with
-        | Dag.Mem_flow | Dag.Mem_anti | Dag.Mem_output ->
-          let ru = find u and rv = find v in
-          if ru <> rv then parent.(ru) <- rv
-        | Dag.Data -> ())
-      (Dag.preds_arr dag v)
+    let ps = Dag.preds_arr dag v and ks = Dag.pred_kinds dag v in
+    for i = 0 to Array.length ps - 1 do
+      match ks.(i) with
+      | Dag.Mem_flow | Dag.Mem_anti | Dag.Mem_output ->
+        let ru = find ps.(i) and rv = find v in
+        if ru <> rv then parent.(ru) <- rv
+      | Dag.Data -> ()
+    done
   done;
-  let grouped = Array.make n false in
+  (* [group.(r)]: for a root [r] of a group of two or more, [-1] until
+     the group's first member is packed, then its number + 1; [0] for
+     a private variable. *)
+  let group = Array.make n 0 in
   for v = 0 to n - 1 do
     let r = find v in
-    if r <> v then begin
-      grouped.(r) <- true;
-      grouped.(v) <- true
+    if r <> v then group.(r) <- -1
+  done;
+  let groups = ref 0 in
+  let buf = Buffer.create ((3 * n) + 8) in
+  for j = 0 to n - 1 do
+    let v = perm.(j) in
+    let op = opix.(v) in
+    Buffer.add_char buf (Char.unsafe_chr op);
+    (* The producers of [v]'s data operands, ascending: at most two. *)
+    let lo = ref 0 and hi = ref 0 in
+    let ps = Dag.preds_arr dag v and ks = Dag.pred_kinds dag v in
+    for i = 0 to Array.length ps - 1 do
+      if ks.(i) = Dag.Data then begin
+        let c = placed.(ps.(i)) + 1 in
+        if !lo = 0 then lo := c
+        else if c < !lo then begin
+          hi := !lo;
+          lo := c
+        end
+        else hi := c
+      end
+    done;
+    if op = op_index Op.Load || op = op_index Op.Store then begin
+      let r = find v in
+      if group.(r) < 0 then begin
+        incr groups;
+        group.(r) <- !groups
+      end;
+      add_varint buf group.(r);
+      add_varint buf !lo
+    end
+    else begin
+      add_varint buf !lo;
+      add_varint buf !hi
     end
   done;
-  (* Group [r]'s name, once its first member is emitted. *)
-  let group_name = Array.make n "" and groups = ref 0 in
+  Buffer.contents buf
+
+let label dag =
+  let blk = Dag.block dag in
+  let n = Dag.length dag in
+  let opix = Array.init n (fun i -> op_index (Block.tuple_at blk i).Tuple.op) in
+  let color = Array.map (fun o -> mix 0x9e37 o land max_int) opix in
+  let sc = scratch n in
+  refine dag sc color;
+  let perm, placed = canonical_order dag sc opix color in
+  let key = pack dag opix perm placed in
+  ({ perm; key; hash = hash_string key } : labeling)
+
+(* ------------------------------------------------------------------ *)
+(* Materialization: the canonical block, read back from the key.       *)
+
+let materialize (l : labeling) =
+  let key = l.key in
+  let pos = ref 0 in
+  let byte () =
+    let b = Char.code key.[!pos] in
+    incr pos;
+    b
+  in
+  let rec varint shift acc =
+    let b = byte () in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b < 0x80 then acc else varint (shift + 7) acc
+  in
   let tagged c k =
     let buf = Buffer.create 4 in
     Buffer.add_char buf c;
     Pipesched_prelude.Decimal.add_int buf k;
-    Buffer.contents buf
+    Operand.Var (Buffer.contents buf)
   in
-  (* The canonical variable of the memory op at original position [v],
-     emitted at canonical position [j]. *)
-  let var_name j v =
-    let r = find v in
-    if grouped.(r) then begin
-      if group_name.(r) = "" then begin
-        group_name.(r) <- tagged 's' !groups;
-        incr groups
-      end;
-      Operand.Var group_name.(r)
-    end
-    else if (Block.tuple_at blk v).Tuple.op = Op.Store then
-      Operand.Var (tagged 'w' j)
-    else Operand.Var (tagged 'l' j)
-  in
-  let canon_ref id = placed.(Block.pos_of_id blk id) + 1 in
-  let value = function
-    | Operand.Ref id -> Operand.Ref (canon_ref id)
-    | _ -> Operand.Imm 0
-  in
-  (* Explicit left-to-right loop: the [s<k>] numbering is first-occurrence
-     stateful, and [List.init]'s evaluation order is unspecified. *)
+  let value c = if c = 0 then Operand.Imm 0 else Operand.Ref c in
+  (* Explicit left-to-right loop: the codes are read in key order, and
+     [List.init]'s evaluation order is unspecified. *)
   let acc = ref [] in
-  for j = 0 to n - 1 do
+  for j = 0 to Array.length l.perm - 1 do
+    let op = ops.(byte ()) in
+    let a = varint 0 0 in
+    let b = varint 0 0 in
+    let id = j + 1 in
+    (* Group [k]'s variable is [s<k>]; a private one is [w<pos>] for a
+       store and [l<pos>] for a load. *)
+    let var c =
+      if c > 0 then tagged 's' (c - 1)
+      else tagged (if op = Op.Store then 'w' else 'l') j
+    in
     let tu =
-        let v = perm.(j) in
-        let tu = Block.tuple_at blk v in
-        let id = j + 1 in
-        match tu.Tuple.op with
-        | Op.Const -> Tuple.make ~id Op.Const (Operand.Imm 0) Operand.Null
-        | Op.Load -> Tuple.make ~id Op.Load (var_name j v) Operand.Null
-        | Op.Store ->
-          Tuple.make ~id Op.Store (var_name j v) (value tu.Tuple.b)
-        | op when Op.value_arity op = 1 ->
-          Tuple.make ~id op (value tu.Tuple.a) Operand.Null
-        | op ->
-          (* Binary: the DAG keeps one Data edge per (producer,
-             consumer) pair and never sees operand sides, so the text
-             must carry exactly the *set* of canonical producers —
-             sorted, deduplicated (Or t1, t1 and Or 3, t1 are
-             structurally identical), padded with immediates.  Omega
-             treats operands symmetrically, so this only widens the
-             equivalence class; re-parsing rebuilds the same edges. *)
-          let a = value tu.Tuple.a and b = value tu.Tuple.b in
-          let lo, hi =
-            match (a, b) with
-            | Operand.Ref i, Operand.Ref j when i = j -> (a, Operand.Imm 0)
-            | Operand.Ref i, Operand.Ref j when i > j -> (b, a)
-            | Operand.Ref _, Operand.Ref _ -> (a, b)
-            | Operand.Ref _, _ -> (a, Operand.Imm 0)
-            | _, Operand.Ref _ -> (b, Operand.Imm 0)
-            | _, _ -> (Operand.Imm 0, Operand.Imm 0)
-          in
-          Tuple.make ~id op lo hi
+      match op with
+      | Op.Const -> Tuple.make ~id Op.Const (Operand.Imm 0) Operand.Null
+      | Op.Load -> Tuple.make ~id Op.Load (var a) Operand.Null
+      | Op.Store -> Tuple.make ~id Op.Store (var a) (value b)
+      | op when Op.value_arity op = 1 ->
+        Tuple.make ~id op (value a) Operand.Null
+      | op -> Tuple.make ~id op (value a) (value b)
     in
     acc := tu :: !acc
   done;
   Block.of_tuples_exn (List.rev !acc)
 
 let of_dag dag =
-  let blk = Dag.block dag in
-  let n = Dag.length dag in
-  let opix = Array.init n (fun i -> op_index (Block.tuple_at blk i).Tuple.op) in
-  let color = Array.map (fun o -> Hashtbl.hash (0x9e37, o)) opix in
-  let sc = scratch n in
-  refine dag sc color;
-  let perm, placed = canonical_order dag sc opix color in
-  let cblk = materialize dag blk placed perm in
-  let key = Block.to_string cblk in
-  { block = cblk; perm; key; hash = hash_string key }
+  let l = label dag in
+  { block = materialize l; perm = l.perm; key = l.key; hash = l.hash }
 
 let of_block blk = of_dag (Dag.of_block blk)
 
-let apply t corder = Array.map (fun cpos -> t.perm.(cpos)) corder
+let apply (t : t) corder = Array.map (fun cpos -> t.perm.(cpos)) corder
+
+let apply_labeling (l : labeling) corder =
+  Array.map (fun cpos -> l.perm.(cpos)) corder

@@ -14,9 +14,39 @@ type t = {
   succs : int array array;
   pred_kinds : edge_kind array array;
   succ_kinds : edge_kind array array;
-  ancestors : Bitset.t array;
-  descendants : Bitset.t array;
 }
+
+(* [a.(0 .. len-1)] as a fresh array, and a fresh zeroed array of
+   [len].  Most nodes have at most two neighbours on a side, and an
+   array literal that short is allocated inline, without the call into
+   the runtime that [Array.sub] and [Array.make] make. *)
+let prefix (a : int array) len =
+  match len with
+  | 0 -> [||]
+  | 1 -> [| a.(0) |]
+  | 2 -> [| a.(0); a.(1) |]
+  | _ -> Array.sub a 0 len
+
+let prefix_kinds (a : edge_kind array) len =
+  match len with
+  | 0 -> [||]
+  | 1 -> [| a.(0) |]
+  | 2 -> [| a.(0); a.(1) |]
+  | _ -> Array.sub a 0 len
+
+let zeros len =
+  match len with
+  | 0 -> [||]
+  | 1 -> [| 0 |]
+  | 2 -> [| 0; 0 |]
+  | _ -> Array.make len 0
+
+let data_kinds len =
+  match len with
+  | 0 -> [||]
+  | 1 -> [| Data |]
+  | 2 -> [| Data; Data |]
+  | _ -> Array.make len Data
 
 (* Per-variable memory state of the block-order scan. *)
 type mem = { mutable last_store : int; mutable loads_since : int list }
@@ -78,43 +108,31 @@ let of_block blk =
          m.loads_since <- v :: m.loads_since
        end
      | _ -> ());
-    preds.(v) <- Array.sub src 0 !deg;
-    pred_kinds.(v) <- Array.sub knd 0 !deg
+    preds.(v) <- prefix src !deg;
+    pred_kinds.(v) <- prefix_kinds knd !deg
   done;
   (* Successors, filled in increasing consumer order, come out sorted. *)
   let outdeg = Array.make n 0 in
-  Array.iter (Array.iter (fun u -> outdeg.(u) <- outdeg.(u) + 1)) preds;
-  let succs = Array.map (fun d -> Array.make d 0) outdeg in
-  let succ_kinds = Array.map (fun d -> Array.make d Data) outdeg in
+  for v = 0 to n - 1 do
+    let ps = preds.(v) in
+    for i = 0 to Array.length ps - 1 do
+      outdeg.(ps.(i)) <- outdeg.(ps.(i)) + 1
+    done
+  done;
+  let succs = Array.map zeros outdeg in
+  let succ_kinds = Array.map data_kinds outdeg in
   Array.fill outdeg 0 n 0;
   for v = 0 to n - 1 do
-    Array.iteri
-      (fun i u ->
-        let j = outdeg.(u) in
-        succs.(u).(j) <- v;
-        succ_kinds.(u).(j) <- pred_kinds.(v).(i);
-        outdeg.(u) <- j + 1)
-      preds.(v)
+    let ps = preds.(v) and ks = pred_kinds.(v) in
+    for i = 0 to Array.length ps - 1 do
+      let u = ps.(i) in
+      let j = outdeg.(u) in
+      succs.(u).(j) <- v;
+      succ_kinds.(u).(j) <- ks.(i);
+      outdeg.(u) <- j + 1
+    done
   done;
-  (* Transitive closures.  Block order is a topological order, so a single
-     forward pass computes ancestors and a backward pass descendants. *)
-  let ancestors = Array.init n (fun _ -> Bitset.create n) in
-  for v = 0 to n - 1 do
-    Array.iter
-      (fun u ->
-        Bitset.add ancestors.(v) u;
-        Bitset.union_into ~into:ancestors.(v) ancestors.(u))
-      preds.(v)
-  done;
-  let descendants = Array.init n (fun _ -> Bitset.create n) in
-  for u = n - 1 downto 0 do
-    Array.iter
-      (fun v ->
-        Bitset.add descendants.(u) v;
-        Bitset.union_into ~into:descendants.(u) descendants.(v))
-      succs.(u)
-  done;
-  { blk; preds; succs; pred_kinds; succ_kinds; ancestors; descendants }
+  { blk; preds; succs; pred_kinds; succ_kinds }
 
 let block d = d.blk
 let length d = Array.length d.preds
@@ -142,10 +160,28 @@ let edge_kind d u v =
     find 0 (Array.length s)
   end
 
-let ancestors d i = d.ancestors.(i)
-let descendants d i = d.descendants.(i)
-let earliest d i = Bitset.cardinal d.ancestors.(i)
-let latest d i = length d - 1 - Bitset.cardinal d.descendants.(i)
+(* The transitive closures are computed per call, by one pass over the
+   positions on the node's side: block order is a topological order, so
+   every predecessor of a position comes before it. *)
+let ancestors d i =
+  let s = Bitset.create (length d) in
+  Array.iter (Bitset.add s) d.preds.(i);
+  for u = i - 1 downto 0 do
+    if Bitset.mem s u then Array.iter (Bitset.add s) d.preds.(u)
+  done;
+  s
+
+let descendants d i =
+  let n = length d in
+  let s = Bitset.create n in
+  Array.iter (Bitset.add s) d.succs.(i);
+  for v = i + 1 to n - 1 do
+    if Bitset.mem s v then Array.iter (Bitset.add s) d.succs.(v)
+  done;
+  s
+
+let earliest d i = Bitset.cardinal (ancestors d i)
+let latest d i = length d - 1 - Bitset.cardinal (descendants d i)
 
 let is_legal_order d order =
   let n = length d in

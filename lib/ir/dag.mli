@@ -20,7 +20,8 @@ type edge_kind = Data | Mem_flow | Mem_anti | Mem_output
 
 type t
 
-(** Build the DAG of a block.  O(n^2 / 63) due to transitive closures. *)
+(** Build the DAG of a block: its edges and their kinds, no transitive
+    closure (see {!ancestors}). *)
 val of_block : Block.t -> t
 
 (** The block the DAG was built from. *)
@@ -59,10 +60,13 @@ val succ_kinds : t -> int -> edge_kind array
     binary search of [u]'s successors. *)
 val edge_kind : t -> int -> int -> edge_kind option
 
-(** All transitive ancestors of a position, as a bitset (do not mutate). *)
+(** All transitive ancestors of a position, as a fresh bitset.  The DAG
+    stores no closure: each call is one pass over the positions before
+    [i], O(n + edges). *)
 val ancestors : t -> int -> Pipesched_prelude.Bitset.t
 
-(** All transitive descendants of a position (do not mutate). *)
+(** All transitive descendants of a position, as a fresh bitset: one
+    pass over the positions after [i], like {!ancestors}. *)
 val descendants : t -> int -> Pipesched_prelude.Bitset.t
 
 (** [earliest d i]: minimum number of instructions that must execute before

@@ -80,24 +80,36 @@ let to_string = function
   | Shl -> "Shl"
   | Shr -> "Shr"
 
-let of_string s =
-  match String.lowercase_ascii s with
-  | "const" -> Some Const
-  | "load" -> Some Load
-  | "store" -> Some Store
-  | "mov" -> Some Mov
-  | "add" -> Some Add
-  | "sub" -> Some Sub
-  | "mul" -> Some Mul
-  | "div" -> Some Div
-  | "mod" -> Some Mod
-  | "neg" -> Some Neg
-  | "and" -> Some And
-  | "or" -> Some Or
-  | "xor" -> Some Xor
-  | "shl" -> Some Shl
-  | "shr" -> Some Shr
-  | _ -> None
+(* A mnemonic of at most 7 bytes, lowercased and packed into an int
+   after its length, so that matching one costs an integer comparison
+   per op. *)
+let rec pack_lower s i stop acc =
+  if i = stop then acc
+  else
+    pack_lower s (i + 1) stop
+      ((acc lsl 8) lor Char.code (Char.lowercase_ascii s.[i]))
+
+let packed =
+  Array.of_list
+    (List.map
+       (fun op ->
+         let name = to_string op in
+         (pack_lower name 0 (String.length name) (String.length name), op))
+       all)
+
+(* Case-insensitive like [String.lowercase_ascii], without the copy. *)
+let of_substring s pos len =
+  if len > 7 then None
+  else
+    let key = pack_lower s pos (pos + len) len in
+    let rec find i =
+      if i = Array.length packed then None
+      else if fst packed.(i) = key then Some (snd packed.(i))
+      else find (i + 1)
+    in
+    find 0
+
+let of_string s = of_substring s 0 (String.length s)
 
 let pp fmt op = Format.pp_print_string fmt (to_string op)
 let equal (a : t) b = a = b

@@ -58,6 +58,10 @@ val to_string : t -> string
 (** Inverse of [to_string] (case-insensitive). *)
 val of_string : string -> t option
 
+(** [of_substring s pos len] is [of_string (String.sub s pos len)],
+    without the copy. *)
+val of_substring : string -> int -> int -> t option
+
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -23,13 +23,16 @@ let to_string o =
 
 let pp fmt o = Format.pp_print_string fmt (to_string o)
 
-let of_string s =
-  let n = String.length s in
-  if s = "_" then Some Null
-  else if n >= 2 && s.[0] = '#' then Some (Var (String.sub s 1 (n - 1)))
-  else if n >= 2 && s.[0] = 't' then
-    match int_of_string_opt (String.sub s 1 (n - 1)) with
+let of_substring s pos len =
+  let int_at pos len = Pipesched_prelude.Decimal.int_of_substring s pos len in
+  if len = 1 && s.[pos] = '_' then Some Null
+  else if len >= 2 && s.[pos] = '#' then
+    Some (Var (String.sub s (pos + 1) (len - 1)))
+  else if len >= 2 && s.[pos] = 't' then
+    match int_at (pos + 1) (len - 1) with
     | Some id -> Some (Ref id)
     | None -> None
   else
-    match int_of_string_opt s with Some v -> Some (Imm v) | None -> None
+    match int_at pos len with Some v -> Some (Imm v) | None -> None
+
+let of_string s = of_substring s 0 (String.length s)

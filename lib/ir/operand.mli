@@ -27,3 +27,7 @@ val to_buffer : Buffer.t -> t -> unit
 (** Inverse of {!to_string}: ["#v"] is a variable, ["tN"] a reference,
     an integer an immediate, ["_"] the null operand. *)
 val of_string : string -> t option
+
+(** [of_substring s pos len] is [of_string (String.sub s pos len)],
+    copying only a variable's name. *)
+val of_substring : string -> int -> int -> t option

@@ -38,5 +38,14 @@ val to_string : t -> string
 val to_buffer : Buffer.t -> t -> unit
 
 (** Inverse of {!to_string} (["4: Mul t1, t3"]); validates the shape like
-    {!make}.  [Error msg] on malformed input. *)
+    {!make}.  [Error msg] on malformed input.  Whitespace around the
+    line, the id, the text after the [':'] and each operand is ignored
+    ([String.trim]'s), the mnemonic ends at the first space and any case
+    is accepted, empty operands between commas are skipped, and
+    integers are read as [int_of_string_opt] reads them. *)
 val of_string : string -> (t, string) result
+
+(** [of_substring s pos len] is [of_string (String.sub s pos len)],
+    read in place: one scan, copying only error text and variable
+    names. *)
+val of_substring : string -> int -> int -> (t, string) result

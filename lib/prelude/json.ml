@@ -65,6 +65,10 @@ let to_string j =
 
 exception Fail of int * string
 
+(* The parser recurses once per nesting level, so a line of ['['s would
+   otherwise take the stack and the heap with it. *)
+let max_depth = 512
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -221,10 +225,13 @@ let parse s =
         | Some f -> Float f
         | None -> fail "bad number")
   in
-  let rec parse_value () =
+  (* [depth]: the containers around the value. *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth >= max_depth ->
+      fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '{' ->
       advance ();
       skip_ws ();
@@ -239,7 +246,7 @@ let parse s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           fields := (k, v) :: !fields;
           skip_ws ();
           match peek () with
@@ -262,7 +269,7 @@ let parse s =
       else begin
         let items = ref [] in
         let rec items_loop () =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           items := v :: !items;
           skip_ws ();
           match peek () with
@@ -283,7 +290,7 @@ let parse s =
     | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing input";
     v

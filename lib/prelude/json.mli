@@ -25,7 +25,9 @@ type t =
 val to_string : t -> string
 
 (** [parse s] reads exactly one JSON value (surrounding whitespace
-    allowed).  [Error msg] carries a position-annotated message. *)
+    allowed).  [Error msg] carries a position-annotated message.  At
+    most 512 arrays and objects may nest: a deeper one is refused with
+    ["nesting deeper than 512"] at its opening bracket. *)
 val parse : string -> (t, string) result
 
 (** {2 Accessors} — each returns [None] on a shape mismatch. *)

@@ -1,6 +1,7 @@
 open Pipesched_ir
 open Pipesched_machine
 module Rng = Pipesched_prelude.Rng
+module Bitset = Pipesched_prelude.Bitset
 
 type heuristic =
   | Max_distance
@@ -8,27 +9,36 @@ type heuristic =
   | Source_order
   | Random_order of int
 
+(* Transitive descendant counts: one backward pass of bitset unions,
+   since block order is a topological order. *)
+let descendant_counts dag =
+  let n = Dag.length dag in
+  let desc = Array.init n (fun _ -> Bitset.create n) in
+  for u = n - 1 downto 0 do
+    Array.iter
+      (fun v ->
+        Bitset.add desc.(u) v;
+        Bitset.union_into ~into:desc.(u) desc.(v))
+      (Dag.succs_arr dag u)
+  done;
+  Array.map Bitset.cardinal desc
+
 let priorities heuristic dag =
   let n = Dag.length dag in
+  (* Primary key: height (longest dependence chain below, per edge
+     weight); secondary: number of transitive descendants.  Packed into
+     one int. *)
+  let by_height edge_weight =
+    let h = Dag.heights dag ~edge_weight in
+    let desc = descendant_counts dag in
+    Array.init n (fun i -> (h.(i) * (n + 1)) + desc.(i))
+  in
   match heuristic with
-  | Max_distance ->
-    (* Primary key: unit-weight height (longest dependence chain below);
-       secondary: number of transitive descendants.  Packed into one int. *)
-    let h = Dag.heights dag ~edge_weight:(fun ~src:_ ~dst:_ -> 1) in
-    Array.init n (fun i ->
-        let desc =
-          Pipesched_prelude.Bitset.cardinal (Dag.descendants dag i)
-        in
-        (h.(i) * (n + 1)) + desc)
+  | Max_distance -> by_height (fun ~src:_ ~dst:_ -> 1)
   | Latency_weighted machine ->
     let blk = Dag.block dag in
     let lat pos = Machine.latency machine (Block.tuple_at blk pos).Tuple.op in
-    let h = Dag.heights dag ~edge_weight:(fun ~src ~dst:_ -> lat src) in
-    Array.init n (fun i ->
-        let desc =
-          Pipesched_prelude.Bitset.cardinal (Dag.descendants dag i)
-        in
-        (h.(i) * (n + 1)) + desc)
+    by_height (fun ~src ~dst:_ -> lat src)
   | Source_order -> Array.init n (fun i -> n - i)
   | Random_order seed ->
     let rng = Rng.create seed in

@@ -215,18 +215,21 @@ let schedule_request t id req =
     with
     | Error msg -> error_response id msg
     | Ok backend -> (
-    let c = Canonical.of_block blk in
+    (* A hit needs only the labeling; the canonical block is built when
+       a miss must search it. *)
+    let l = Canonical.label (Dag.of_block blk) in
     (* Backends may return different (equally legal) schedules, and
        cached hits must stay byte-identical to fresh solves — so the
-       backend is part of the cache key. *)
+       backend is part of the cache key.  The canonical key may hold
+       NUL bytes, so it comes last. *)
     let key =
       Machine.fingerprint machine ^ "\x00" ^ backend ^ "\x00"
-      ^ c.Canonical.key
+      ^ l.Canonical.key
     in
     match Lru.find t.cache key with
     | Some result ->
       render id
-        ~order:(Canonical.apply c result.Omega.order)
+        ~order:(Canonical.apply_labeling l result.Omega.order)
         result ~completed:true
         ~status:(Budget.status_to_string Budget.Complete)
         ~degraded:false ~cached:(cached true)
@@ -243,12 +246,12 @@ let schedule_request t id req =
         let options =
           { Optimal.default_options with Optimal.lambda; deadline_s }
         in
-        let dag = Dag.of_block c.Canonical.block in
+        let cblk = Canonical.materialize l in
         let (module B : Scheduler.S) =
           (* create / the override above validated the name *)
           Option.get (Scheduler.find backend)
         in
-        B.schedule ~options machine dag
+        (cblk, B.schedule ~options machine (Dag.of_block cblk))
       with
       | exception exn ->
         Atomic.incr t.contained;
@@ -256,13 +259,12 @@ let schedule_request t id req =
         else
           error_response id
             ("internal error: " ^ Printexc.to_string exn)
-      | o -> (
+      | cblk, o -> (
         let result = o.Scheduler.best in
         let completed = o.Scheduler.completed in
         let status = o.Scheduler.status in
         let violations =
-          if t.certify then Certify.check machine c.Canonical.block result
-          else []
+          if t.certify then Certify.check machine cblk result else []
         in
         match violations with
         | _ :: _ ->
@@ -279,7 +281,7 @@ let schedule_request t id req =
              try Lru.put t.cache key result
              with _ -> Atomic.incr t.contained);
           render id
-            ~order:(Canonical.apply c result.Omega.order)
+            ~order:(Canonical.apply_labeling l result.Omega.order)
             result ~completed
             ~status:(Budget.status_to_string status)
             ~degraded:false ~cached:(cached false)))))

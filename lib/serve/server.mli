@@ -53,11 +53,16 @@
     [Machine.fingerprint ^ "\x00" ^ backend ^ "\x00" ^ Canonical.key]:
     everything the search can observe and nothing it cannot (the
     backend is part of the key because different backends may return
-    different, equally optimal schedules).  The cached value is the
-    solution of the {e canonical} block; both the miss path (fresh
-    solve) and the hit path render responses by mapping that same
-    canonical solution through {!Pipesched_ir.Canonical.apply}, so a hit
-    is byte-identical to the fresh solve by construction — there is no
+    different, equally optimal schedules).  The canonical key is packed
+    bytes and may hold NUL, so it comes last; the fingerprint and the
+    backend name hold none.  A request is only labeled
+    ({!Pipesched_ir.Canonical.label}) to find its key: a hit builds no
+    canonical block, and a miss materializes one to search.  The cached
+    value is the solution of the {e canonical} block; both the miss path
+    (fresh solve) and the hit path render responses by mapping that
+    same canonical solution through the request's labeling
+    ({!Pipesched_ir.Canonical.apply_labeling}), so a hit is
+    byte-identical to the fresh solve by construction — there is no
     separate rendering to drift.  Only [Complete] results are inserted
     (a curtailed incumbent is returned to its requester but never
     poisons the cache), optionally gated by an independent

@@ -161,6 +161,31 @@ let test_run_dedup_fanout () =
       | Study.Failed _ -> Alcotest.fail "unexpected failure")
     items results
 
+(* Every field of every record but [time_s], for the Table 7 study
+   with dedup on.  The dedup classes decide which records are fanned
+   out ([unique], and the counters a duplicate copies), so a change to
+   the canonical key that merged or split a class moves this digest;
+   one that only renames classes does not. *)
+let study_records_digest = "ead73e38fd717d5441210f8d2a582fe4"
+
+let test_study_records_pinned () =
+  let results =
+    Experiments.run_study ~count:1000 ~lambda:50_000 ~jobs:1 ~certify:true ()
+  in
+  let buf = Buffer.create 65536 in
+  List.iter
+    (function
+      | Study.Scheduled r ->
+        Printf.bprintf buf "%d %d %d %d %d %d %b %s %b\n" r.Study.size
+          r.Study.initial_nops r.Study.final_nops r.Study.omega_calls
+          r.Study.schedules_completed r.Study.memo_hits r.Study.completed
+          (Pipesched_prelude.Budget.status_to_string r.Study.status)
+          r.Study.unique
+      | Study.Failed f -> Printf.bprintf buf "failed %s\n" f.Study.exn)
+    results;
+  check Alcotest.string "digest of the records" study_records_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_aggregate () =
   let rec_ size initial final =
     { Study.size; initial_nops = initial; final_nops = final;
@@ -459,6 +484,47 @@ let test_mega_checkpoint_roundtrip () =
       output_string oc "{ not json";
       close_out oc;
       check bool_t "corrupt checkpoint rejected" true
+        (Mega.read_checkpoint cfg ~shard:0 = None))
+
+(* A checkpoint made under an older canonical form must not be resumed:
+   its aggregate counts other canonical hashes.  The config string below
+   is the rendering from before the canonical version joined it. *)
+let test_mega_older_form () =
+  let module Json = Pipesched_prelude.Json in
+  let module Machine = Pipesched_machine.Machine in
+  with_temp_dir (fun dir ->
+      let cfg = { Mega.default with Mega.count = 100; checkpoint_dir = dir } in
+      Mega.write_checkpoint cfg ~shard:0 ~done_blocks:0 ~rss0_kb:1000
+        (Aggregate.create ());
+      check bool_t "current form read" true
+        (Mega.read_checkpoint cfg ~shard:0 <> None);
+      let older =
+        Printf.sprintf
+          "v1;seed=%d;count=%d;shards=%d;lambda=%d;certify=%b;machine=%s"
+          cfg.Mega.seed cfg.Mega.count cfg.Mega.shards cfg.Mega.lambda
+          cfg.Mega.certify
+          (Machine.fingerprint
+             (Option.get (Machine.Presets.find cfg.Mega.machine)))
+      in
+      let path = Mega.checkpoint_path cfg 0 in
+      let ic = open_in_bin path in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let fields =
+        match Json.parse (String.trim text) with
+        | Ok (Json.Assoc fields) -> fields
+        | _ -> Alcotest.fail "checkpoint is not a JSON object"
+      in
+      let oc = open_out_bin path in
+      output_string oc
+        (Json.to_string
+           (Json.Assoc
+              (List.map
+                 (fun (k, v) ->
+                   if k = "config" then (k, Json.String older) else (k, v))
+                 fields)));
+      close_out oc;
+      check bool_t "older form refused" true
         (Mega.read_checkpoint cfg ~shard:0 = None))
 
 let test_mega_validate () =
@@ -766,7 +832,9 @@ let () =
           Alcotest.test_case "dedup sound" `Quick test_study_dedup_sound;
           Alcotest.test_case "run_dedup fanout" `Quick test_run_dedup_fanout;
           Alcotest.test_case "aggregate" `Quick test_aggregate;
-          Alcotest.test_case "by_size" `Quick test_by_size ] );
+          Alcotest.test_case "by_size" `Quick test_by_size;
+          Alcotest.test_case "records pinned" `Quick
+            test_study_records_pinned ] );
       ( "aggregate",
         [ Alcotest.test_case "counter units" `Quick test_agg_counters;
           Alcotest.test_case "render invariants" `Quick
@@ -780,7 +848,9 @@ let () =
         [ Alcotest.test_case "checkpoint round trip" `Quick
             test_mega_checkpoint_roundtrip;
           Alcotest.test_case "validate and shard ranges" `Quick
-            test_mega_validate ] );
+            test_mega_validate;
+          Alcotest.test_case "older form refused" `Quick test_mega_older_form
+        ] );
       ( "keyed",
         [ Alcotest.test_case "timehist count" `Quick test_timehist_count;
           Alcotest.test_case "keyed histogram" `Quick test_keyed_histogram;

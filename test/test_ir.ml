@@ -316,6 +316,208 @@ let test_block_parse_diagnostics () =
   | Error (0, _) -> () (* block-level validation: dangling reference *)
   | _ -> Alcotest.fail "accepted dangling reference"
 
+(* The line parser the scanner replaced — [Tuple.of_string] with the
+   [Op] and [Operand] parsers it called — kept as the model the scanner
+   must match: the same tuple or the same error string. *)
+let model_op s =
+  match String.lowercase_ascii s with
+  | "const" -> Some Op.Const
+  | "load" -> Some Op.Load
+  | "store" -> Some Op.Store
+  | "mov" -> Some Op.Mov
+  | "add" -> Some Op.Add
+  | "sub" -> Some Op.Sub
+  | "mul" -> Some Op.Mul
+  | "div" -> Some Op.Div
+  | "mod" -> Some Op.Mod
+  | "neg" -> Some Op.Neg
+  | "and" -> Some Op.And
+  | "or" -> Some Op.Or
+  | "xor" -> Some Op.Xor
+  | "shl" -> Some Op.Shl
+  | "shr" -> Some Op.Shr
+  | _ -> None
+
+let model_operand_of_string s =
+  let n = String.length s in
+  if s = "_" then Some Operand.Null
+  else if n >= 2 && s.[0] = '#' then Some (Operand.Var (String.sub s 1 (n - 1)))
+  else if n >= 2 && s.[0] = 't' then
+    match int_of_string_opt (String.sub s 1 (n - 1)) with
+    | Some id -> Some (Operand.Ref id)
+    | None -> None
+  else
+    match int_of_string_opt s with
+    | Some v -> Some (Operand.Imm v)
+    | None -> None
+
+let model_tuple_of_string line =
+  let line = String.trim line in
+  match String.index_opt line ':' with
+  | None -> Error "missing ':' after the tuple id"
+  | Some colon ->
+    let id_text = String.trim (String.sub line 0 colon) in
+    let rest =
+      String.trim
+        (String.sub line (colon + 1) (String.length line - colon - 1))
+    in
+    (match int_of_string_opt id_text with
+     | None -> Error ("bad tuple id: " ^ id_text)
+     | Some id ->
+       let mnemonic, args =
+         match String.index_opt rest ' ' with
+         | None -> (rest, "")
+         | Some sp ->
+           ( String.sub rest 0 sp,
+             String.trim
+               (String.sub rest (sp + 1) (String.length rest - sp - 1)) )
+       in
+       (match model_op mnemonic with
+        | None -> Error ("unknown operation: " ^ mnemonic)
+        | Some op ->
+          let toks =
+            if args = "" then []
+            else
+              String.split_on_char ',' args
+              |> List.map String.trim
+              |> List.filter (fun s -> s <> "")
+          in
+          let operand tok =
+            match model_operand_of_string tok with
+            | Some o -> Ok o
+            | None -> Error ("bad operand: " ^ tok)
+          in
+          let build a b =
+            match Tuple.make ~id op a b with
+            | t -> Ok t
+            | exception Invalid_argument msg -> Error msg
+          in
+          (match toks with
+           | [] -> build Operand.Null Operand.Null
+           | [ a ] ->
+             Result.bind (operand a) (fun a -> build a Operand.Null)
+           | [ a; b ] ->
+             Result.bind (operand a) (fun a ->
+                 Result.bind (operand b) (fun b -> build a b))
+           | _ -> Error "too many operands")))
+
+let model_block_parse text =
+  let rec go lineno acc = function
+    | [] -> (
+      match Block.of_tuples (List.rev acc) with
+      | Ok blk -> Ok blk
+      | Error msg -> Error (0, msg))
+    | raw :: rest ->
+      let body = String.trim raw in
+      if body = "" || body.[0] = '#' then go (lineno + 1) acc rest
+      else
+        match model_tuple_of_string body with
+        | Ok tu -> go (lineno + 1) (tu :: acc) rest
+        | Error msg -> Error (lineno, msg)
+  in
+  go 1 [] (String.split_on_char '\n' text)
+
+(* A line in any of the forms the parser accepts: random spacing and
+   case; decimal, hex, octal, binary, underscored and signed integers;
+   [tN], [#name] and [_] operands; usually the op's own arity. *)
+let random_line rng =
+  let pick a = Rng.choose rng a in
+  let spaces () =
+    String.init (Rng.int rng 3) (fun _ -> pick [| ' '; ' '; '\t' |])
+  in
+  let int_text () =
+    let k = Rng.int rng 1000 in
+    match Rng.int rng 12 with
+    | 0 -> Printf.sprintf "0x%X" k
+    | 1 -> Printf.sprintf "0o%o" k
+    | 2 -> "0b101" ^ String.make (Rng.int rng 3) '1'
+    | 3 -> Printf.sprintf "%d_%03d" (1 + Rng.int rng 9) k
+    | 4 -> Printf.sprintf "+%d" k
+    | 5 -> Printf.sprintf "-%d" k
+    | 6 -> pick [| "4611686018427387903"; "-4611686018427387904";
+                   "4611686018427387904"; "99999999999999999999";
+                   "0x7fffffffffffffff"; "0u12"; "007"; "-0" |]
+    | _ -> string_of_int k
+  in
+  let mixed_case w =
+    String.map
+      (fun c -> if Rng.bool rng then Char.uppercase_ascii c else c)
+      (String.lowercase_ascii w)
+  in
+  let operand () =
+    match Rng.int rng 6 with
+    | 0 -> "_"
+    | 1 -> "#" ^ pick [| "a"; "x1"; "long_name"; "b#c"; "q:r" |]
+    | 2 | 3 -> "t" ^ int_text ()
+    | _ -> int_text ()
+  in
+  let op = pick (Array.of_list Op.all) in
+  let arity =
+    if Rng.int rng 8 = 0 then Rng.int rng 4
+    else match op with Op.Const | Op.Load | Op.Mov | Op.Neg -> 1 | _ -> 2
+  in
+  let operands =
+    List.init arity (fun _ -> spaces () ^ operand () ^ spaces ())
+  in
+  Printf.sprintf "%s%s%s:%s%s %s%s" (spaces ()) (int_text ()) (spaces ())
+    (spaces ()) (mixed_case (Op.to_string op))
+    (String.concat "," operands) (spaces ())
+
+(* [line] with one character deleted, inserted or replaced. *)
+let edit_line rng line =
+  let alphabet = " \t\r\012\n,:#t_-+x0159aZ" in
+  let c () = alphabet.[Rng.int rng (String.length alphabet)] in
+  let n = String.length line in
+  let i = Rng.int rng (n + 1) in
+  let before = String.sub line 0 i in
+  match Rng.int rng 3 with
+  | 0 when i < n -> before ^ String.sub line (i + 1) (n - i - 1)
+  | 1 when i < n ->
+    before ^ String.make 1 (c ()) ^ String.sub line (i + 1) (n - i - 1)
+  | _ -> before ^ String.make 1 (c ()) ^ String.sub line i (n - i)
+
+let scanner_matches_model =
+  qtest ~count:1000 "scanner matches the model"
+    QCheck2.Gen.(int_bound 1_000_000)
+    string_of_int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let lines =
+        List.init 4 (fun _ ->
+            let line = random_line rng in
+            [ line; edit_line rng line ])
+        |> List.concat
+      in
+      let same_line line = Tuple.of_string line = model_tuple_of_string line in
+      (* A block: the lines (ids made unique, most of the time), blank
+         and comment lines between them. *)
+      let text =
+        List.mapi
+          (fun i line ->
+            let line =
+              if Rng.int rng 4 = 0 then line
+              else
+                match String.index_opt line ':' with
+                | Some c ->
+                  string_of_int (i + 1)
+                  ^ String.sub line c (String.length line - c)
+                | None -> line
+            in
+            match Rng.int rng 6 with
+            | 0 -> line ^ "\n  \t"
+            | 1 -> "# a comment: 1: Load #a\n" ^ line
+            | _ -> line)
+          lines
+        |> String.concat "\n"
+      in
+      let same_block =
+        match (Block.parse text, model_block_parse text) with
+        | Ok b, Ok b' -> Block.equal b b'
+        | Error e, Error e' -> e = e'
+        | _ -> false
+      in
+      List.for_all same_line lines && same_block)
+
 (* ------------------------------------------------------------------ *)
 (* Dag                                                                 *)
 
@@ -636,6 +838,31 @@ let canonical_detects_edge_add =
           (String.equal (Canonical.of_block blk).Canonical.key
              (Canonical.of_block blk').Canonical.key))
 
+(* The key packs the canonical block, so two blocks have equal keys
+   exactly when their canonical blocks are equal.  Small blocks over one
+   or two variables, so equal forms are common: about half of the pairs
+   are key-equal. *)
+let canonical_key_is_block =
+  qtest ~count:2000 "key equality is block equality"
+    QCheck2.Gen.(int_bound 1_000_000)
+    string_of_int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let small () =
+        random_block_with rng (1 + Rng.int rng 6) (1 + Rng.int rng 2)
+      in
+      let b1 = small () in
+      let b2 =
+        match Rng.int rng 4 with
+        | 0 -> random_relabel rng b1
+        | 1 -> random_relabel rng (random_topo_reorder rng b1)
+        | 2 -> random_relabel rng (small ())
+        | _ -> small ()
+      in
+      let c1 = Canonical.of_block b1 and c2 = Canonical.of_block b2 in
+      String.equal c1.Canonical.key c2.Canonical.key
+      = Block.equal c1.Canonical.block c2.Canonical.block)
+
 let test_canonical_shapes () =
   (* Two hand-written presentations of the same computation: different
      ids, variable names, immediates, instruction order, operand sides. *)
@@ -702,7 +929,7 @@ let test_canonical_twin_components () =
    it may only move in a change that means to re-key them; a speed-up of
    the canonicalizer must leave it alone. *)
 let canonical_golden_digest =
-  "a1d36812b89a49842848a584218770f3"
+  "714b552e8a489546afa356311eb446b2"
 
 let test_canonical_golden () =
   let module Generator = Pipesched_synth.Generator in
@@ -763,7 +990,8 @@ let () =
             test_block_parse_diagnostics;
           rendering_matches_model;
           Alcotest.test_case "rendering edge cases" `Quick
-            test_rendering_edges ] );
+            test_rendering_edges;
+          scanner_matches_model ] );
       ( "dag",
         [ Alcotest.test_case "edges (fig 3)" `Quick test_dag_edges;
           Alcotest.test_case "memory edge kinds" `Quick
@@ -784,5 +1012,6 @@ let () =
           canonical_apply_legal;
           canonical_detects_op_flip;
           canonical_detects_edge_add;
-          Alcotest.test_case "golden digest" `Quick test_canonical_golden ]
+          Alcotest.test_case "golden digest" `Quick test_canonical_golden;
+          canonical_key_is_block ]
       ) ]

@@ -872,6 +872,22 @@ let json_int_digits =
     string_of_int
     (fun i -> String.equal (Json.to_string (Json.Int i)) (string_of_int i))
 
+(* Nesting is bounded: a line of '['s is refused at the first bracket
+   past the limit, and nesting exactly at the limit still parses. *)
+let test_json_depth () =
+  check
+    Alcotest.(result reject string)
+    "100,000 brackets"
+    (Error "JSON parse error at offset 512: nesting deeper than 512")
+    (Result.map ignore (Json.parse (String.make 100_000 '[')));
+  let arrays k = String.make k '[' ^ String.make k ']' in
+  check bool_t "512 arrays" true (Result.is_ok (Json.parse (arrays 512)));
+  check bool_t "513 arrays" false (Result.is_ok (Json.parse (arrays 513)));
+  (* Objects count too: an array, an object, then arrays. *)
+  let mixed k = "[{\"a\":" ^ arrays (k - 2) ^ "}]" in
+  check bool_t "512 mixed" true (Result.is_ok (Json.parse (mixed 512)));
+  check bool_t "513 mixed" false (Result.is_ok (Json.parse (mixed 513)))
+
 let () =
   Alcotest.run "prelude"
     [ ( "bitset",
@@ -956,4 +972,5 @@ let () =
           json_print_parse_roundtrip;
           json_escape_strictness;
           Alcotest.test_case "int digits pinned" `Quick test_json_int_pinned;
-          json_int_digits ] ) ]
+          json_int_digits;
+          Alcotest.test_case "depth bound" `Quick test_json_depth ] ) ]
