@@ -99,6 +99,10 @@ let run count seed quick lambda deadline_ms block_deadline_ms strong no_memo
       (String.concat ", " Pipesched_core.Scheduler.names);
     exit 2
   end;
+  if memo_capacity < 1 then begin
+    Format.eprintf "--memo-capacity must be at least 1 (got %d)@." memo_capacity;
+    exit 2
+  end;
   let count = if quick then min count 1_000 else count in
   let jobs = if jobs <= 0 then None else Some jobs in
   let to_s ms = Option.map (fun m -> float_of_int m /. 1000.0) ms in
@@ -227,8 +231,8 @@ let no_memo =
 
 let memo_capacity =
   let doc =
-    "Capacity (entries, rounded up to a power of two) of the dominance \
-     memo table."
+    "Capacity (entries, at least 1, rounded up to a power of two) of the \
+     dominance memo table."
   in
   Arg.(value & opt int 4_096 & info [ "memo-capacity" ] ~doc)
 

@@ -69,6 +69,11 @@ let run file expr machine machine_file sched backend lambda deadline_ms
     no_memo memo_capacity registers optimize tuples_in certify
     show_tuples show_asm show_tables show_timeline show_dot show_explain =
   try
+    if memo_capacity < 1 then begin
+      Format.eprintf "--memo-capacity must be at least 1 (got %d)@."
+        memo_capacity;
+      exit 2
+    end;
     let backend_module =
       (* [--backend] picks the search engine behind [--scheduler optimal];
          resolve it early so a typo fails before any work. *)
@@ -371,8 +376,8 @@ let memo_capacity =
     value & opt int 4_096
     & info [ "memo-capacity" ]
         ~doc:
-          "Capacity (entries, rounded up to a power of two) of the \
-           dominance memo table.")
+          "Capacity (entries, at least 1, rounded up to a power of two) of \
+           the dominance memo table.")
 
 let registers =
   Arg.(

@@ -1,6 +1,7 @@
 open Pipesched_ir
 open Pipesched_machine
 open Pipesched_sched
+module Bitset = Pipesched_prelude.Bitset
 module Budget = Pipesched_prelude.Budget
 module Incumbent = Pipesched_prelude.Incumbent
 module Memo_table = Pipesched_prelude.Memo_table
@@ -58,45 +59,169 @@ type outcome = { best : Omega.result; initial : Omega.result; stats : stats }
 
 exception Curtailed
 
-(* Shared machinery between the single-pipe and multi-pipe searches. *)
+(* The dominance memo's state encoding and its test, kept together.
+
+   The dense form of a state is one vector: mu(Phi), each pipe's last
+   use, and one residual per position, all relative to [base], the
+   earliest tick the next instruction could issue at ([issue(last) + 1],
+   or 0 for the empty prefix), so prefixes reaching the same scheduled
+   set at different absolute ticks but with the same *shape* compare
+   equal:
+
+     mu(Phi)               the NOPs accumulated so far
+     pipe p                last-use tick relative to base, clamped below
+                           at -enqueue_p: anything earlier imposes no
+                           conflict constraint on issues >= base, so
+                           distinguishing such values would only weaken
+                           the dominance test
+     residual v            how many ticks past base until the value
+                           produced at v becomes available, clamped at
+                           0, and 0 whenever v is unscheduled or every
+                           consumer of v is already scheduled (then it
+                           can no longer stall anything)
+
+   Which components are "relevant" (scheduled producers with unscheduled
+   consumers; pipes) is a function of the scheduled *set* alone, so two
+   states with the same set are always componentwise comparable, and a
+   stored state dominates the current one when it is componentwise <=.
+
+   Few residuals are ever positive.  A producer's residual is
+   [issue + latency - base], issue ticks rise strictly along the
+   schedule stack and the top one is [base - 1], so the producer [j]
+   places below the top has residual at most [latency - 1 - j]: only the
+   top [max_lat - 1] producers can be positive.  A row therefore holds
+   the dense prefix (mu and the pipes), a count, and at most
+   [min n (max_lat - 1)] (position, residual) pairs of the positive
+   residuals, instead of one word per position:
+
+     row.(0)                    mu(Phi)
+     row.(1 + p)                pipe p
+     row.(1 + npipes)           c, the number of pairs
+     row.(2 + npipes + 2j)      position of pair j < c
+     row.(3 + npipes + 2j)      its residual, > 0
+
+   [dominates] is exactly the dense componentwise <=: the dense prefix
+   compares word by word, a stored pair must be <= the current residual
+   at its position (0 when the current row has no pair there), and a
+   component the stored row leaves out is 0, which no current residual
+   is below. *)
+module Fingerprint = struct
+  type t = {
+    npipes : int;
+    enqueue : int array;  (* by pipe *)
+    max_lat : int;  (* largest producer latency, >= 1 (resource-free) *)
+    width : int;
+  }
+
+  let create machine dag =
+    let npipes = Machine.pipe_count machine in
+    let enqueue =
+      Array.init npipes (fun p -> (Machine.pipe machine p).Pipe.enqueue)
+    in
+    let max_lat = ref 1 in
+    for p = 0 to npipes - 1 do
+      max_lat := max !max_lat (Machine.pipe machine p).Pipe.latency
+    done;
+    let pairs = min (Dag.length dag) (!max_lat - 1) in
+    { npipes; enqueue; max_lat = !max_lat; width = 2 + npipes + (2 * pairs) }
+
+  let width t = t.width
+
+  (* Plain loops throughout, no closures: this runs at every memoized
+     node. *)
+  let write t (st : Omega.State.t) row =
+    let sp = st.sp in
+    let base = if sp = 0 then 0 else st.issue.(st.stack.(sp - 1)) + 1 in
+    row.(0) <- st.total_nops;
+    for p = 0 to t.npipes - 1 do
+      let rel = st.last_on_pipe.(p) - base and floor = - t.enqueue.(p) in
+      row.(1 + p) <- (if rel > floor then rel else floor)
+    done;
+    (* Walk down the stack while a producer can still be positive. *)
+    let c = ref 0 in
+    let k = ref (sp - 1) in
+    while !k >= 0 && st.issue.(st.stack.(!k)) + t.max_lat > base do
+      let v = st.stack.(!k) in
+      let residual = st.issue.(v) + st.prod_latency.(v) - base in
+      if residual > 0 then begin
+        let succs = st.succs.(v) in
+        let pending = ref false in
+        for i = 0 to Array.length succs - 1 do
+          if not st.scheduled.(succs.(i)) then pending := true
+        done;
+        if !pending then begin
+          row.(2 + t.npipes + (2 * !c)) <- v;
+          row.(3 + t.npipes + (2 * !c)) <- residual;
+          incr c
+        end
+      end;
+      decr k
+    done;
+    row.(1 + t.npipes) <- !c
+
+  let dominates t rows off row =
+    let dense = 1 + t.npipes in
+    let ok = ref true in
+    let i = ref 0 in
+    while !ok && !i < dense do
+      if rows.{off + !i} > row.(!i) then ok := false;
+      incr i
+    done;
+    let current = row.(dense) in
+    let j = ref 0 in
+    while !ok && !j < rows.{off + dense} do
+      let pos = rows.{off + dense + 1 + (2 * !j)} in
+      let residual = ref 0 in
+      for m = 0 to current - 1 do
+        if row.(dense + 1 + (2 * m)) = pos then
+          residual := row.(dense + 2 + (2 * m))
+      done;
+      if rows.{off + dense + 2 + (2 * !j)} > !residual then ok := false;
+      incr j
+    done;
+    !ok
+end
+
+(* One search: the state, its setup, its scratch and its counters. *)
 type search_env = {
   n : int;
   st : Omega.State.t;
+  options : options;
   cand_order : int array;
   rank : int array;                (* inverse of cand_order *)
-  ready : Pipesched_prelude.Bitset.t;
-      (* ranks of the currently ready positions, maintained
-         incrementally by [dfs] as instructions are pushed and popped *)
-  preds : int array array;         (* Dag adjacency, flattened *)
-  succs : int array array;
+  (* The ready set (as ranks, so snapshots come out in priority order)
+     and the scheduled set (by position, the memo's key), updated in
+     place through their words: [word_of.(i)] and [mask_of.(i)] place
+     member [i]. *)
+  ready : Bitset.t;
+  ready_words : int array;
+  sched_set : Bitset.t;
+  sched_words : int array;
+  word_of : int array;
+  mask_of : int array;
   is_free : bool array;
   (* Strong-equivalence class of each position, interned to a dense int
-     in [make_env] so the per-node tried-signature check is an int-array
-     probe instead of polymorphic hashing of array tuples. *)
+     so the per-node tried-signature check is an int-array probe; empty
+     when strong equivalence is off. *)
   signature : int array;
-  nsigs : int;
-  (* Critical-path bound ingredients (admissible for any pipe choice). *)
+  (* Critical-path bound ingredients (admissible for any pipe choice);
+     empty unless [lower_bound = Critical_path]. *)
   min_lat : int array;
   tail : int array;
-  (* Resource-bound ingredients: the forced pipeline of each position
-     (-1 when resource-free or when several candidates exist — such
+  (* Resource-bound ingredient: the forced pipeline of each position (-1
+     when resource-free or when several candidates exist — such
      operations contribute nothing, keeping the bound admissible for the
-     multi-pipe search too), and each pipeline's enqueue time. *)
+     multi-pipe search too). *)
   forced_pipe : int array;
-  pipe_enqueue : int array;
-  (* Largest producer latency any pipe can impose (>= 1, the resource-free
-     latency): bounds how far back in the schedule stack a producer can
-     still have a positive residual in [fingerprint]. *)
-  max_prod_lat : int;
-  dag : Dag.t;
-  (* Dominance-memoization state: the scheduled-set key (maintained
-     incrementally by [dfs]), the normalized-fingerprint scratch, and the
-     transposition table itself (created lazily once the search has done
-     [memo_activation] Omega calls, so tiny searches never pay the
-     allocation). *)
-  sched_set : Pipesched_prelude.Bitset.t;
-  fp : int array;
+  (* Dominance memoization: the encoding, the scratch row of the node
+     being looked up, and the transposition table itself, created once
+     the search has done [memo_activation] Omega calls (at call
+     [activate_at]; [max_int] once created or when the memo is off), so
+     tiny searches never pay the allocation. *)
+  fp : Fingerprint.t;
+  row : int array;
   mutable memo_tbl : Memo_table.t option;
+  mutable activate_at : int;
   mutable memo_hits : int;
   mutable memo_misses : int;
   (* Critical-path-bound scratch, preallocated so the bound is not
@@ -105,7 +230,21 @@ type search_env = {
   cp_est : int array;
   cp_remaining : int array;
   cp_bound : int array;
-  budget : Budget.t;
+  (* Per-depth DFS scratch: a snapshot buffer for the ready set, the
+     generation-stamped signature classes already expanded at each node
+     (strong equivalence only), and, for an entry point with its own
+     candidate expander, the candidate being expanded at each depth and
+     the callback that expands it. *)
+  snapshot : int array array;
+  sig_seen : int array array;
+  mutable sig_gen : int;
+  cb_rank : int array;
+  cb_pos : int array;
+  mutable cbs : (unit -> unit) array;
+  (* The budget: lambda alone is checked inline; [budget] is [Some] only
+     when a deadline or a cancellation token is set. *)
+  lambda : int;
+  budget : Budget.t option;
   (* The portfolio's shared incumbent ([None] for a standalone
      search). *)
   shared : Omega.result Incumbent.t option;
@@ -117,84 +256,92 @@ type search_env = {
 
 (* [multi]: the search may choose among candidate pipelines, so only
    single-candidate operations may be charged to a pipe in the resource
-   bound; the single-pipe search pins every operation to its default. *)
-let make_env ?entry ~multi ?shared machine dag options =
+   bound; the single-pipe search pins every operation to its default.
+   [prio] is the seed heuristic's priorities, computed once per search
+   for both the seed and the candidate order. *)
+let make_env ?entry ~multi ?shared machine dag options ~prio =
   let n = Dag.length dag in
   let blk = Dag.block dag in
-  let pipe_of pos =
-    Machine.default_pipe machine (Block.tuple_at blk pos).Tuple.op
-  in
+  let st = Omega.State.create ?entry machine dag in
+  let op pos = (Block.tuple_at blk pos).Tuple.op in
+  let critical = options.lower_bound = Critical_path in
   let min_lat =
-    Array.init n (fun pos ->
-        let op = (Block.tuple_at blk pos).Tuple.op in
-        match Machine.candidates machine op with
-        | [] -> 1
-        | pids ->
-          List.fold_left
-            (fun acc pid -> min acc (Machine.pipe machine pid).Pipe.latency)
-            max_int pids)
+    if not critical then [||]
+    else
+      Array.init n (fun pos ->
+          match Machine.candidates machine (op pos) with
+          | [] -> 1
+          | pids ->
+            List.fold_left
+              (fun acc pid -> min acc (Machine.pipe machine pid).Pipe.latency)
+              max_int pids)
   in
-  let tail = Dag.heights dag ~edge_weight:(fun ~src ~dst:_ -> min_lat.(src)) in
+  let tail =
+    if not critical then [||]
+    else Dag.heights dag ~edge_weight:(fun ~src ~dst:_ -> min_lat.(src))
+  in
   let forced_pipe =
-    Array.init n (fun pos ->
-        match
-          Machine.candidates machine (Block.tuple_at blk pos).Tuple.op
-        with
-        | [ p ] -> p
-        | [] -> -1
-        | p :: _ :: _ -> if multi then -1 else p)
+    if not critical then [||]
+    else
+      Array.init n (fun pos ->
+          match Machine.candidates machine (op pos) with
+          | [ p ] -> p
+          | [] -> -1
+          | p :: _ :: _ -> if multi then -1 else p)
   in
-  let pipe_enqueue =
-    Array.init (Machine.pipe_count machine) (fun p ->
-        (Machine.pipe machine p).Pipe.enqueue)
-  in
-  let max_prod_lat =
-    let m = ref 1 in
-    for p = 0 to Machine.pipe_count machine - 1 do
-      let l = (Machine.pipe machine p).Pipe.latency in
-      if l > !m then m := l
-    done;
-    !m
-  in
-  let preds = Array.init n (fun pos -> Dag.preds_arr dag pos) in
-  let succs = Array.init n (fun pos -> Dag.succs_arr dag pos) in
-  let cand_order = List_sched.order_by_priority options.seed dag in
+  let preds = st.Omega.State.preds and succs = st.Omega.State.succs in
+  let default_pipe = st.Omega.State.default_pipe in
+  let cand_order = List_sched.order_of_priorities prio in
   let rank = Array.make n 0 in
   Array.iteri (fun r pos -> rank.(pos) <- r) cand_order;
   (* Intern the strong-equivalence signatures — (pipe, preds, succs) —
      to dense ints once at construction (polymorphic hashing is fine
-     here, off the search hot path), so the per-node check in [dfs]
-     probes an int matrix. *)
-  let sig_ids = Hashtbl.create (max n 1) in
-  let nsigs = ref 0 in
-  let signature =
-    Array.init n (fun pos ->
-        let key =
-          ( (match pipe_of pos with Some p -> p | None -> -1),
-            preds.(pos),
-            succs.(pos) )
-        in
-        match Hashtbl.find_opt sig_ids key with
-        | Some id -> id
-        | None ->
-          let id = !nsigs in
-          Hashtbl.add sig_ids key id;
-          incr nsigs;
-          id)
+     here, off the search hot path), so the per-node check probes an int
+     matrix. *)
+  let signature, nsigs =
+    if not options.strong_equivalence then ([||], 0)
+    else begin
+      let sig_ids = Hashtbl.create (max n 1) in
+      let nsigs = ref 0 in
+      let signature =
+        Array.init n (fun pos ->
+            let key = (default_pipe.(pos), preds.(pos), succs.(pos)) in
+            match Hashtbl.find_opt sig_ids key with
+            | Some id -> id
+            | None ->
+              let id = !nsigs in
+              Hashtbl.add sig_ids key id;
+              incr nsigs;
+              id)
+      in
+      (signature, !nsigs)
+    end
   in
-  let ready = Pipesched_prelude.Bitset.create (max n 1) in
+  let ready = Bitset.create (max n 1) in
+  let ready_words = Bitset.raw_words ready in
+  let word_of = Array.init n (fun i -> i / Bitset.bits_per_word) in
+  let mask_of = Array.init n (fun i -> 1 lsl (i mod Bitset.bits_per_word)) in
   for pos = 0 to n - 1 do
-    if Array.length preds.(pos) = 0 then
-      Pipesched_prelude.Bitset.add ready rank.(pos)
+    if Array.length preds.(pos) = 0 then begin
+      let r = rank.(pos) in
+      ready_words.(word_of.(r)) <- ready_words.(word_of.(r)) lor mask_of.(r)
+    end
   done;
+  let sched_set = Bitset.create (max n 1) in
+  let fp = Fingerprint.create machine dag in
+  let timed = options.deadline_s <> None || options.cancel <> None in
   {
     n;
-    st = Omega.State.create ?entry machine dag;
+    st;
+    options;
     cand_order;
     rank;
     ready;
-    preds;
-    succs;
+    ready_words;
+    sched_set;
+    sched_words = Bitset.raw_words sched_set;
+    word_of;
+    mask_of;
     (* [5c] needs the successor-free refinement: two resource-free,
        predecessor-free instructions are only interchangeable in every
        completion when neither constrains anything downstream.  Without
@@ -202,32 +349,47 @@ let make_env ?entry ~multi ?shared machine dag options =
        counterexample in test_core.ml). *)
     is_free =
       Array.init n (fun pos ->
-          pipe_of pos = None
+          default_pipe.(pos) = -1
           && Array.length preds.(pos) = 0
           && Array.length succs.(pos) = 0);
     signature;
-    nsigs = !nsigs;
     min_lat;
     tail;
     forced_pipe;
-    pipe_enqueue;
-    max_prod_lat;
-    dag;
-    sched_set = Pipesched_prelude.Bitset.create (max n 1);
-    fp = Array.make (1 + Array.length pipe_enqueue + n) 0;
+    fp;
+    row = Array.make (Fingerprint.width fp) 0;
     memo_tbl = None;
+    activate_at =
+      (if options.memo.memo_enabled && n > 1 then
+         options.memo.memo_activation
+       else max_int);
     memo_hits = 0;
     memo_misses = 0;
-    cp_est = Array.make (max n 1) 0;
-    cp_remaining = Array.make (max (Array.length pipe_enqueue) 1) 0;
+    cp_est = (if critical then Array.make (max n 1) 0 else [||]);
+    cp_remaining =
+      (if critical then Array.make (max (Machine.pipe_count machine) 1) 0
+       else [||]);
     cp_bound = Array.make (n + 1) 0;
+    snapshot = Array.make_matrix (n + 1) (max n 1) 0;
+    sig_seen =
+      (if options.strong_equivalence then
+         Array.make_matrix (n + 1) (max nsigs 1) 0
+       else [||]);
+    sig_gen = 0;
+    cb_rank = Array.make (n + 1) 0;
+    cb_pos = Array.make (n + 1) 0;
+    cbs = [||];
+    lambda = options.lambda;
     budget =
-      Budget.start
-        {
-          Budget.calls = Some options.lambda;
-          deadline_s = options.deadline_s;
-          cancel = options.cancel;
-        };
+      (if timed then
+         Some
+           (Budget.start
+              {
+                Budget.calls = Some options.lambda;
+                deadline_s = options.deadline_s;
+                cancel = options.cancel;
+              })
+       else None);
     shared;
     omega_calls = 0;
     schedules_completed = 0;
@@ -252,32 +414,33 @@ let make_env ?entry ~multi ?shared machine dag options =
    per-pipe [cp_remaining] counters are zeroed. *)
 let critical_path_bound env ~floor =
   let st = env.st in
-  let depth = Omega.State.depth st in
-  if depth = env.n then max floor (Omega.State.nops st)
+  let depth = st.Omega.State.sp in
+  let nops = st.Omega.State.total_nops in
+  if depth = env.n then max floor nops
   else begin
     let est = env.cp_est in
+    let issue = st.Omega.State.issue and scheduled = st.Omega.State.scheduled in
     let last_issue =
-      if depth = 0 then -1
-      else Omega.State.issue_of st (Omega.State.at_depth st (depth - 1))
+      if depth = 0 then -1 else issue.(st.Omega.State.stack.(depth - 1))
     in
-    let bound = ref (max floor (Omega.State.nops st)) in
+    let bound = ref (max floor nops) in
     let remaining_on = env.cp_remaining in
     Array.fill remaining_on 0 (Array.length remaining_on) 0;
     for v = 0 to env.n - 1 do
-      if not (Omega.State.is_scheduled st v) then begin
+      if not scheduled.(v) then begin
         if env.forced_pipe.(v) >= 0 then
           remaining_on.(env.forced_pipe.(v)) <-
             remaining_on.(env.forced_pipe.(v)) + 1;
         let e = ref (last_issue + 1) in
-        Array.iter
-          (fun u ->
-            let avail =
-              if Omega.State.is_scheduled st u then
-                Omega.State.issue_of st u + env.min_lat.(u)
-              else est.(u) + env.min_lat.(u)
-            in
-            if avail > !e then e := avail)
-          env.preds.(v);
+        let preds = st.Omega.State.preds.(v) in
+        for i = 0 to Array.length preds - 1 do
+          let u = preds.(i) in
+          let avail =
+            if scheduled.(u) then issue.(u) + env.min_lat.(u)
+            else est.(u) + env.min_lat.(u)
+          in
+          if avail > !e then e := avail
+        done;
         est.(v) <- !e;
         let b = !e + env.tail.(v) - (env.n - 1) in
         if b > !bound then bound := b
@@ -287,89 +450,28 @@ let critical_path_bound env ~floor =
        p each need [enqueue_p] ticks after the previous enqueue, starting
        from the pipe's current last use (or from the next issue slot when
        the pipe is still untouched). *)
-    Array.iteri
-      (fun p r ->
-        if r > 0 then begin
-          let last = Omega.State.last_use st p in
-          let finish =
-            if last > min_int / 4 then last + (r * env.pipe_enqueue.(p))
-            else last_issue + 1 + ((r - 1) * env.pipe_enqueue.(p))
-          in
-          let b = finish - (env.n - 1) in
-          if b > !bound then bound := b
-        end)
-      remaining_on;
+    for p = 0 to Array.length remaining_on - 1 do
+      let r = remaining_on.(p) in
+      if r > 0 then begin
+        let last = st.Omega.State.last_on_pipe.(p) in
+        let enqueue = st.Omega.State.pipe_enqueue.(p) in
+        let finish =
+          if last > min_int / 4 then last + (r * enqueue)
+          else last_issue + 1 + ((r - 1) * enqueue)
+        in
+        let b = finish - (env.n - 1) in
+        if b > !bound then bound := b
+      end
+    done;
     !bound
   end
 
-let bound_value env options ~floor =
-  match options.lower_bound with
-  | Partial_nops -> max floor (Omega.State.nops env.st)
+let bound_value env ~floor =
+  match env.options.lower_bound with
+  | Partial_nops ->
+    let nops = env.st.Omega.State.total_nops in
+    if floor > nops then floor else nops
   | Critical_path -> critical_path_bound env ~floor
-
-(* Normalized state fingerprint for the dominance check, written into
-   [env.fp].  All ticks are expressed relative to [base], the earliest
-   tick the next instruction could issue at ([issue(last) + 1], or 0 for
-   the empty prefix), so prefixes reaching the same scheduled set at
-   different absolute ticks but with the same *shape* compare equal.
-
-     fp.(0)                = mu(Phi), the NOPs accumulated so far
-     fp.(1 + p)            = per-pipe last-use tick relative to base,
-                             clamped below at -enqueue_p: anything
-                             earlier imposes no conflict constraint on
-                             issues >= base, so distinguishing such
-                             values would only weaken the dominance test
-     fp.(1 + npipes + v)   = residual latency of the value produced at
-                             position v — how many ticks past base until
-                             it becomes available — clamped at 0, and 0
-                             whenever v is unscheduled or every consumer
-                             of v is already scheduled (then it can no
-                             longer stall anything)
-
-   Which components are "relevant" (scheduled producers with unscheduled
-   consumers; pipes) is a function of the scheduled *set* alone, so two
-   fingerprints for the same key are always componentwise comparable. *)
-let fingerprint env =
-  let st = env.st in
-  let depth = Omega.State.depth st in
-  let base =
-    if depth = 0 then 0
-    else Omega.State.issue_of st (Omega.State.at_depth st (depth - 1)) + 1
-  in
-  let fp = env.fp in
-  fp.(0) <- Omega.State.nops st;
-  let npipes = Array.length env.pipe_enqueue in
-  for p = 0 to npipes - 1 do
-    fp.(1 + p) <-
-      max (Omega.State.last_use st p - base) (- env.pipe_enqueue.(p))
-  done;
-  (* A producer's residual is positive only when [issue + prod_latency >
-     base], and prod_latency <= max_prod_lat; issue ticks are strictly
-     increasing along the schedule stack, so every such producer sits in
-     a suffix of the stack.  Zero the whole region with one fill and walk
-     only that suffix — O(n/word + max_lat * succs) per node instead of a
-     successor scan for all n positions. *)
-  Array.fill fp (1 + npipes) env.n 0;
-  let k = ref (depth - 1) in
-  let live = ref true in
-  while !live && !k >= 0 do
-    let v = Omega.State.at_depth st !k in
-    if Omega.State.issue_of st v + env.max_prod_lat <= base then live := false
-    else begin
-      let residual = Omega.State.avail_of st v - base in
-      if residual > 0 then begin
-        (* Plain loop, not [Array.iter]: runs per memoized node, and the
-           closure would be one heap allocation per position per call. *)
-        let succs = env.succs.(v) in
-        let pending = ref false in
-        for i = 0 to Array.length succs - 1 do
-          if not (Omega.State.is_scheduled st succs.(i)) then pending := true
-        done;
-        if !pending then fp.(1 + npipes + v) <- residual
-      end;
-      decr k
-    end
-  done
 
 (* Dominance cut over the transposition table.  Returns [true] when the
    current node may be pruned without affecting the reported optimum.
@@ -410,44 +512,57 @@ let memo_cut env =
   match env.memo_tbl with
   | None -> false
   | Some tbl ->
-    let module Bitset = Pipesched_prelude.Bitset in
-    let module Memo_table = Pipesched_prelude.Memo_table in
-    fingerprint env;
+    let row = env.row in
+    Fingerprint.write env.fp env.st row;
     let hash = Bitset.hash env.sched_set in
-    let key = Bitset.raw_words env.sched_set in
+    let key = env.sched_words in
     let slot = Memo_table.find tbl ~hash key in
-    if slot >= 0 && Memo_table.dominates tbl slot env.fp then begin
+    if
+      slot >= 0
+      && Fingerprint.dominates env.fp (Memo_table.values tbl)
+           (slot * Fingerprint.width env.fp)
+           row
+    then begin
       env.memo_hits <- env.memo_hits + 1;
       true
     end
     else begin
       env.memo_misses <- env.memo_misses + 1;
       ignore
-        (Memo_table.store tbl ~hash
-           ~depth:(Omega.State.depth env.st)
-           ~key ~value:env.fp
+        (Memo_table.store tbl ~hash ~depth:env.st.Omega.State.sp ~key
+           ~value:row
           : bool);
       false
     end
 
-let maybe_activate_memo env options =
-  if
-    env.memo_tbl = None
-    && options.memo.memo_enabled
-    && env.n > 1
-    && env.omega_calls >= options.memo.memo_activation
-  then
-    (* Start tiny and let the table double as entries land: searches
-       that activate the memo but stay small (the common case under
-       modest lambdas) never pay the full-capacity allocate-and-zero
-       that used to make memo-on slower than memo-off. *)
-    env.memo_tbl <-
-      Some
-        (Memo_table.create_growing ~initial:64
-           ~capacity:options.memo.memo_capacity
-           ~key_words:
-             (Array.length (Pipesched_prelude.Bitset.raw_words env.sched_set))
-           ~value_words:(Array.length env.fp))
+let activate_memo env =
+  env.activate_at <- max_int;
+  (* Start tiny and let the table double as entries land: searches
+     that activate the memo but stay small (the common case under
+     modest lambdas) never pay the full-capacity allocate-and-zero
+     that used to make memo-on slower than memo-off. *)
+  env.memo_tbl <-
+    Some
+      (Memo_table.create_growing ~initial:64
+         ~capacity:env.options.memo.memo_capacity
+         ~key_words:(Array.length env.sched_words)
+         ~value_words:(Array.length env.row))
+
+(* One Omega call: check the budget, raising [Curtailed] once any limit
+   trips — the search then unwinds and reports the incumbent.  The check
+   precedes the spend, matching the paper's "curtail when Lambda reaches
+   lambda" exactly.  Without a deadline or a token the check is one
+   comparison against lambda. *)
+let count_call env =
+  (match env.budget with
+   | None -> if env.omega_calls >= env.lambda then raise Curtailed
+   | Some budget ->
+     (match Budget.exhausted budget with
+      | Some _ -> raise Curtailed
+      | None -> ());
+     Budget.spend budget);
+  env.omega_calls <- env.omega_calls + 1;
+  if env.omega_calls >= env.activate_at then activate_memo env
 
 (* Exclusive pruning limit: the tighter of this searcher's own best and
    the shared incumbent's bound (when racing).  Reading the bound is one
@@ -459,128 +574,122 @@ let prune_limit env =
     let s = Incumbent.bound inc in
     if s < env.best_nops then s else env.best_nops
 
-(* The search skeleton.  [push_candidates f pos] must invoke [f] once per
-   distinct way of scheduling [pos] next (once for the single-pipe search;
-   once per non-symmetric candidate pipe for the multi-pipe search), with
-   the instruction pushed for the dynamic extent of the call. *)
-let dfs env options ~push_candidates ~on_complete =
-  let module Bitset = Pipesched_prelude.Bitset in
-  (* Per-depth scratch, allocated once per search: a snapshot buffer for
-     the ready set (as ranks, so snapshots come out in priority order)
-     and, for the strong-equivalence pruning, a generation-stamped matrix
-     of signature classes already expanded at this node (int probes; the
-     signatures were interned in [make_env]).  Using [env.ready]
-     incrementally replaces the old O(n) scan of [cand_order] at every
-     node with a word-skipping walk over the ready positions only. *)
-  let snapshot = Array.make_matrix (env.n + 1) (max env.n 1) 0 in
-  let sig_rows = if options.strong_equivalence then env.n + 1 else 1 in
-  let sig_seen = Array.make_matrix sig_rows (max env.nsigs 1) 0 in
-  let sig_gen = ref 0 in
-  (* Per-depth slots for the candidate being expanded plus one callback
-     closure per depth ([cbs], filled below): expanding a node allocates
-     nothing.  An inline callback would capture the loop variables and
-     cost one heap allocation per Omega call — enough to dominate minor
-     GC. *)
-  let cb_rank = Array.make (env.n + 1) 0 in
-  let cb_pos = Array.make (env.n + 1) 0 in
-  let cbs = Array.make (env.n + 1) ignore in
-  let rec go depth =
-    if depth = env.n then begin
-      env.schedules_completed <- env.schedules_completed + 1;
-      let nops = Omega.State.nops env.st in
-      if nops < prune_limit env then begin
-        env.best_nops <- nops;
-        env.improvements <- env.improvements + 1;
-        on_complete ()
+(* The search skeleton.  [go] opens the node at [depth]: a complete
+   schedule is compared against the incumbent; otherwise, unless the
+   memo cuts it, every ready candidate the equivalence rules keep is
+   pushed and expanded.  The default expander pushes each candidate on
+   its default pipe right here; an entry point with its own ([push pos
+   k], which must invoke [k] once per distinct way of scheduling [pos]
+   next, with the instruction pushed for the dynamic extent of the
+   call) is reached through the per-depth callbacks in [env.cbs].
+   Nothing here allocates: the scratch is per search. *)
+let rec go env ~push ~on_complete depth =
+  if depth = env.n then begin
+    env.schedules_completed <- env.schedules_completed + 1;
+    let nops = env.st.Omega.State.total_nops in
+    if nops < prune_limit env then begin
+      env.best_nops <- nops;
+      env.improvements <- env.improvements + 1;
+      on_complete ()
+    end
+  end
+  else if depth > 0 && memo_cut env then ()
+  else begin
+    (* The ready set is restored after each child, so this snapshot is
+       exactly the set of positions a full scan would accept. *)
+    let buf = env.snapshot.(depth) in
+    let count = Bitset.to_buffer env.ready buf in
+    let equivalence = env.options.equivalence in
+    let strong = env.options.strong_equivalence in
+    let tried_free = ref false in
+    let node_gen =
+      if strong then begin
+        env.sig_gen <- env.sig_gen + 1;
+        env.sig_gen
       end
-    end
-    else if depth > 0 && memo_cut env then ()
-    else begin
-      (* The ready set is restored after each child, so this snapshot is
-         exactly the set of positions the old full scan would accept. *)
-      let buf = snapshot.(depth) in
-      let count = Bitset.to_buffer env.ready buf in
-      let tried_free = ref false in
-      let node_gen =
-        if options.strong_equivalence then begin
-          incr sig_gen;
-          !sig_gen
-        end
-        else 0
+      else 0
+    in
+    for i = 0 to count - 1 do
+      let rk = buf.(i) in
+      let pos = env.cand_order.(rk) in
+      let skip =
+        (* [5c]: at most one free candidate per node. *)
+        (equivalence && env.is_free.(pos) && !tried_free)
+        (* Strong equivalence: one candidate per signature class. *)
+        || (strong && env.sig_seen.(depth).(env.signature.(pos)) = node_gen)
       in
-      for i = 0 to count - 1 do
-        let rk = buf.(i) in
-        let pos = env.cand_order.(rk) in
-        let skip =
-          (options.equivalence && env.is_free.(pos) && !tried_free)
-          || (options.strong_equivalence
-              && sig_seen.(depth).(env.signature.(pos)) = node_gen)
-        in
-        if not skip then begin
-          if env.is_free.(pos) then tried_free := true;
-          if options.strong_equivalence then
-            sig_seen.(depth).(env.signature.(pos)) <- node_gen;
-          cb_rank.(depth) <- rk;
-          cb_pos.(depth) <- pos;
-          push_candidates pos cbs.(depth)
-        end
-      done
+      if not skip then begin
+        if env.is_free.(pos) then tried_free := true;
+        if strong then env.sig_seen.(depth).(env.signature.(pos)) <- node_gen;
+        match push with
+        | None ->
+          count_call env;
+          Omega.State.push env.st pos;
+          expand env ~push ~on_complete depth rk pos;
+          Omega.State.pop env.st
+        | Some push ->
+          env.cb_rank.(depth) <- rk;
+          env.cb_pos.(depth) <- pos;
+          push pos env.cbs.(depth)
+      end
+    done
+  end
+
+(* The candidate [pos] (rank [rk]) is pushed for the extent of this
+   call: drop it from the ready set, add it to the scheduled-set key and
+   admit any successor whose last unscheduled predecessor it was (a
+   successor of [pos] cannot be scheduled yet); run the alpha-beta test
+   and the child; then undo. *)
+and expand env ~push ~on_complete depth rk pos =
+  let st = env.st in
+  let ready = env.ready_words and word_of = env.word_of in
+  let mask_of = env.mask_of in
+  let succs = st.Omega.State.succs.(pos) in
+  ready.(word_of.(rk)) <- ready.(word_of.(rk)) land lnot mask_of.(rk);
+  env.sched_words.(word_of.(pos)) <-
+    env.sched_words.(word_of.(pos)) lor mask_of.(pos);
+  for j = 0 to Array.length succs - 1 do
+    let s = succs.(j) in
+    if st.Omega.State.unsched_preds.(s) = 0 then begin
+      let r = env.rank.(s) in
+      ready.(word_of.(r)) <- ready.(word_of.(r)) lor mask_of.(r)
     end
-  and expand depth () =
-    (* The candidate for this depth is pushed for the extent of this
-       callback (its rank/position are in the per-depth slots): drop it
-       from the ready set (and add it to the scheduled-set key) and admit
-       any successor whose last unscheduled predecessor it was, then
-       undo.  Plain loops over the successors, not [Array.iter]: each
-       would allocate a closure per expanded node. *)
-    let rk = cb_rank.(depth) in
-    let pos = cb_pos.(depth) in
-    let succs = env.succs.(pos) in
-    Bitset.remove env.ready rk;
-    Bitset.add env.sched_set pos;
-    for j = 0 to Array.length succs - 1 do
-      let s = succs.(j) in
-      if Omega.State.is_ready env.st s then Bitset.add env.ready env.rank.(s)
-    done;
-    (if not options.alpha_beta then go (depth + 1)
-     else begin
-       (* The parent's bound is an admissible floor for every child
-          (completions below a child are a subset of those below the
-          parent), so when the incumbent has improved past it since the
-          parent was expanded, all remaining siblings fail without
-          recomputation. *)
-       let parent_bound = env.cp_bound.(depth) in
-       if parent_bound < prune_limit env then begin
-         let b = bound_value env options ~floor:parent_bound in
-         env.cp_bound.(depth + 1) <- b;
-         if b < prune_limit env then go (depth + 1)
-       end
-     end);
-    for j = 0 to Array.length succs - 1 do
-      let s = succs.(j) in
-      if Omega.State.is_ready env.st s then Bitset.remove env.ready env.rank.(s)
-    done;
-    Bitset.remove env.sched_set pos;
-    Bitset.add env.ready rk
-  in
-  for d = 0 to env.n do
-    cbs.(d) <- expand d
   done;
+  (if not env.options.alpha_beta then go env ~push ~on_complete (depth + 1)
+   else begin
+     (* Alpha-beta.  The parent's bound is an admissible floor for every
+        child (completions below a child are a subset of those below the
+        parent), so when the incumbent has improved past it since the
+        parent was expanded, all remaining siblings fail without
+        recomputation. *)
+     let parent_bound = env.cp_bound.(depth) in
+     if parent_bound < prune_limit env then begin
+       let b = bound_value env ~floor:parent_bound in
+       env.cp_bound.(depth + 1) <- b;
+       if b < prune_limit env then go env ~push ~on_complete (depth + 1)
+     end
+   end);
+  for j = 0 to Array.length succs - 1 do
+    let s = succs.(j) in
+    if st.Omega.State.unsched_preds.(s) = 0 then begin
+      let r = env.rank.(s) in
+      ready.(word_of.(r)) <- ready.(word_of.(r)) land lnot mask_of.(r)
+    end
+  done;
+  env.sched_words.(word_of.(pos)) <-
+    env.sched_words.(word_of.(pos)) land lnot mask_of.(pos);
+  ready.(word_of.(rk)) <- ready.(word_of.(rk)) lor mask_of.(rk)
+
+let dfs env ~push ~on_complete =
+  (match push with
+   | None -> ()
+   | Some _ ->
+     env.cbs <-
+       Array.init (env.n + 1) (fun d () ->
+           expand env ~push ~on_complete d env.cb_rank.(d) env.cb_pos.(d)));
   (* A floor of 0 NOPs is trivially admissible for the root. *)
   env.cp_bound.(0) <- 0;
-  go 0
-
-(* One Omega call: check the combined budget (lambda / deadline / token),
-   raising [Curtailed] once any limit trips — the search then unwinds and
-   reports the incumbent.  The check precedes the spend, matching the
-   paper's "curtail when Lambda reaches lambda" exactly. *)
-let count_call env options =
-  (match Budget.exhausted env.budget with
-   | Some _ -> raise Curtailed
-   | None -> ());
-  Budget.spend env.budget;
-  env.omega_calls <- env.omega_calls + 1;
-  maybe_activate_memo env options
+  go env ~push ~on_complete 0
 
 let stats_of env ~completed =
   let entries, evictions =
@@ -588,20 +697,25 @@ let stats_of env ~completed =
     | None -> (0, 0)
     | Some tbl -> (Memo_table.entries tbl, Memo_table.evictions tbl)
   in
-  let status =
-    if completed then Budget.Complete
-    else
-      (* [expiry] re-evaluates every limit without the strided deadline
-         gate, so the reported reason is the limit that actually tripped
-         (a deadline that passed between strided clock reads is no longer
-         misreported as lambda). *)
-      match Budget.expiry env.budget with
-      | Some s -> s
-      | None ->
-        (* Unreachable when the search itself stopped us (Curtailed is
-           only raised after a limit trips, which is sticky); kept for
-           unwinds by foreign exceptions. *)
-        Budget.Curtailed_lambda
+  let status, elapsed_s =
+    match env.budget with
+    | None ->
+      ((if completed then Budget.Complete else Budget.Curtailed_lambda), 0.0)
+    | Some budget ->
+      ( (if completed then Budget.Complete
+         else
+           (* [expiry] re-evaluates every limit without the strided
+              deadline gate, so the reported reason is the limit that
+              actually tripped (a deadline that passed between strided
+              clock reads is no longer misreported as lambda). *)
+           match Budget.expiry budget with
+           | Some s -> s
+           | None ->
+             (* Unreachable when the search itself stopped us (Curtailed
+                is only raised after a limit trips, which is sticky);
+                kept for unwinds by foreign exceptions. *)
+             Budget.Curtailed_lambda),
+        Budget.elapsed_s budget )
   in
   {
     omega_calls = env.omega_calls;
@@ -609,36 +723,41 @@ let stats_of env ~completed =
     improvements = env.improvements;
     completed;
     status;
-    elapsed_s = Budget.elapsed_s env.budget;
+    elapsed_s;
     memo_hits = env.memo_hits;
     memo_misses = env.memo_misses;
     memo_entries = entries;
     memo_evictions = evictions;
   }
 
-(* The search behind every entry point: it evaluates the seed list
-   schedule, builds the env, runs [dfs] and catches curtailment.  An
-   entry point supplies only [expand], which turns the env into its
-   candidate expander ([push_candidates] for [dfs]), and optionally
-   [on_best], run after each new best has been snapshotted.
+(* The search behind every entry point: one setup pass (the seed
+   heuristic's priorities once, one Omega state), the seed evaluated on
+   that state, [dfs], and curtailment caught.  An entry point supplies
+   only [expand] when it needs its own candidate expander (see [go]),
+   and optionally [on_best], run after each new best has been
+   snapshotted.
 
    [seeded]: the evaluated seed is the initial incumbent.  Otherwise
    (the register-bounded search, whose seed may be infeasible) it is
-   evaluated only when the caller forces it.  [shared] races the search
-   against peers through a shared incumbent: the seed and each new best
-   are submitted to it, and its bound tightens pruning whenever a peer
-   publishes first.
+   evaluated only when the caller asks for it, after the search.
+   [shared] races the search against peers through a shared incumbent:
+   the seed and each new best are submitted to it, and its bound
+   tightens pruning whenever a peer publishes first.
 
-   Returns the lazy seed, the last new best (if any), the stats, and on
-   completion the proved optimum — [min own-best shared-bound], since
-   with a peer in play the witness may live on the peer's side of the
-   incumbent. *)
-let search ?entry ?(multi = false) ?shared ?(on_best = ignore) ~seeded
-    machine dag options ~expand =
-  let initial =
-    lazy
-      (Omega.evaluate ?entry machine dag
-         ~order:(List_sched.schedule options.seed dag))
+   Returns the seed (a function: evaluated on demand when not
+   [seeded]), the last new best (if any), the stats, and on completion
+   the proved optimum — [min own-best shared-bound], since with a peer
+   in play the witness may live on the peer's side of the incumbent. *)
+let search ?entry ?(multi = false) ?shared ?(on_best = ignore) ?expand
+    ~seeded machine dag options =
+  if options.memo.memo_enabled && options.memo.memo_capacity < 1 then
+    invalid_arg "Optimal: memo_capacity must be >= 1";
+  let prio = List_sched.priorities options.seed dag in
+  let env = make_env ?entry ~multi ?shared machine dag options ~prio in
+  let seed () =
+    Omega.State.pop_to env.st 0;
+    Omega.State.evaluate env.st
+      ~order:(List_sched.schedule_by_priorities prio dag)
   in
   let submit (r : Omega.result) =
     match shared with
@@ -646,9 +765,15 @@ let search ?entry ?(multi = false) ?shared ?(on_best = ignore) ~seeded
       ignore (Incumbent.submit inc ~nops:r.nops (fun () -> r) : bool)
     | None -> ()
   in
-  if Option.is_some shared then submit (Lazy.force initial);
-  let env = make_env ?entry ~multi ?shared machine dag options in
-  if seeded then env.best_nops <- (Lazy.force initial).nops;
+  let initial =
+    if seeded then begin
+      let r = seed () in
+      submit r;
+      env.best_nops <- r.nops;
+      fun () -> r
+    end
+    else seed
+  in
   let best = ref None in
   let on_complete () =
     let r = Omega.State.complete_greedily env.st in
@@ -656,30 +781,20 @@ let search ?entry ?(multi = false) ?shared ?(on_best = ignore) ~seeded
     on_best ();
     submit r
   in
+  let push = Option.map (fun expand -> expand env) expand in
   let completed =
-    match dfs env options ~push_candidates:(expand env) ~on_complete with
+    match dfs env ~push ~on_complete with
     | () -> true
     | exception Curtailed -> false
   in
   let proved = if completed then Some (prune_limit env) else None in
   (initial, !best, stats_of env ~completed, proved)
 
-(* Each operation on its default pipe: one push per candidate. *)
-let push_default options env =
-  let push pos k =
-    count_call env options;
-    Omega.State.push env.st pos;
-    k ();
-    Omega.State.pop env.st
-  in
-  push
-
 let schedule_default ~options ?entry ?shared machine dag =
   let initial, best, stats, proved =
     search ?entry ?shared ~seeded:true machine dag options
-      ~expand:(push_default options)
   in
-  let initial = Lazy.force initial in
+  let initial = initial () in
   ({ best = Option.value best ~default:initial; initial; stats }, proved)
 
 let schedule ?(options = default_options) ?entry machine dag =
@@ -698,7 +813,8 @@ let schedule_multi ?(options = default_options) ?entry machine dag =
   in
   let candidates_of =
     Array.init n (fun pos ->
-        Machine.candidates machine (Block.tuple_at blk pos).Tuple.op)
+        Array.of_list
+          (Machine.candidates machine (Block.tuple_at blk pos).Tuple.op))
   in
   let npipes = Machine.pipe_count machine in
   (* Dense id per distinct (latency, enqueue) pair, so the symmetric-pipe
@@ -716,10 +832,13 @@ let schedule_multi ?(options = default_options) ?entry machine dag =
       Hashtbl.add param_seen key !nparams;
       incr nparams
   done;
+  let nparams = !nparams in
   let enqueue_of =
     Array.init (max npipes 1) (fun p ->
         if p < npipes then (Machine.pipe machine p).Pipe.enqueue else 0)
   in
+  (* Preallocated, so choosing a pipe allocates nothing. *)
+  let some_pipe = Array.init npipes (fun p -> Some p) in
   let choice = Array.copy default_choice in
   let best_choice = ref (Array.copy default_choice) in
   let expand env =
@@ -727,15 +846,17 @@ let schedule_multi ?(options = default_options) ?entry machine dag =
        tried at this choice point, as ints, linear-scanned (candidate
        lists are a handful of pipes at most). *)
     let tried_buf = Array.make_matrix (n + 1) (max npipes 1) 0 in
+    let st = env.st in
     let push pos k =
-      match candidates_of.(pos) with
-      | [] ->
-        count_call env options;
-        Omega.State.push_on env.st pos ~pipe:None;
+      let pids = candidates_of.(pos) in
+      if Array.length pids = 0 then begin
+        count_call env;
+        Omega.State.push_on st pos ~pipe:None;
         choice.(pos) <- None;
         k ();
-        Omega.State.pop env.st
-      | pids ->
+        Omega.State.pop st
+      end
+      else begin
         (* Symmetric-pipe pruning: two candidate pipes with equal
            parameters and equal effective last-use tick lead to identical
            subtrees.  The key is one int, [(clamped last-use) * nparams +
@@ -743,28 +864,29 @@ let schedule_multi ?(options = default_options) ?entry machine dag =
            conflict constraint on any issue tick >= 0, so all such values
            collapse to [-enqueue] — never less pruning than the exact
            tick, still only collapsing identical subtrees. *)
-        let buf = tried_buf.(Omega.State.depth env.st) in
+        let buf = tried_buf.(st.Omega.State.sp) in
         let nseen = ref 0 in
-        List.iter
-          (fun p ->
-            let enq = enqueue_of.(p) in
-            let lu = Omega.State.last_use env.st p in
-            let lc = if lu < -enq then -enq else lu in
-            let key = (lc * !nparams) + param_id.(p) in
-            let dup = ref false in
-            for i = 0 to !nseen - 1 do
-              if buf.(i) = key then dup := true
-            done;
-            if not !dup then begin
-              buf.(!nseen) <- key;
-              incr nseen;
-              count_call env options;
-              Omega.State.push_on env.st pos ~pipe:(Some p);
-              choice.(pos) <- Some p;
-              k ();
-              Omega.State.pop env.st
-            end)
-          pids
+        for c = 0 to Array.length pids - 1 do
+          let p = pids.(c) in
+          let enq = enqueue_of.(p) in
+          let lu = st.Omega.State.last_on_pipe.(p) in
+          let lc = if lu < -enq then -enq else lu in
+          let key = (lc * nparams) + param_id.(p) in
+          let dup = ref false in
+          for i = 0 to !nseen - 1 do
+            if buf.(i) = key then dup := true
+          done;
+          if not !dup then begin
+            buf.(!nseen) <- key;
+            incr nseen;
+            count_call env;
+            Omega.State.push_on st pos ~pipe:some_pipe.(p);
+            choice.(pos) <- some_pipe.(p);
+            k ();
+            Omega.State.pop st
+          end
+        done
+      end
     in
     push
   in
@@ -772,7 +894,7 @@ let schedule_multi ?(options = default_options) ?entry machine dag =
     search ?entry ~multi:true ~seeded:true machine dag options ~expand
       ~on_best:(fun () -> best_choice := Array.copy choice)
   in
-  let initial = Lazy.force initial in
+  let initial = initial () in
   ( { best = Option.value best ~default:initial; initial; stats },
     !best_choice )
 
@@ -832,32 +954,38 @@ module Pressure = struct
       live = 0;
     }
 
+  (* These run once per Omega call of the bounded search: plain loops,
+     since a closure over [p] would be a heap allocation per call. *)
+
   (* Register demand if [pos] were scheduled next. *)
   let demand p pos =
-    let deaths =
-      Array.fold_left
-        (fun acc (u, m) -> if p.remaining.(u) = m then acc + 1 else acc)
-        0 p.uses.(pos)
-    in
-    p.live - deaths + (if p.produces.(pos) then 1 else 0)
+    let uses = p.uses.(pos) in
+    let deaths = ref 0 in
+    for i = 0 to Array.length uses - 1 do
+      let u, m = uses.(i) in
+      if p.remaining.(u) = m then incr deaths
+    done;
+    p.live - !deaths + (if p.produces.(pos) then 1 else 0)
 
   let push p pos =
-    Array.iter
-      (fun (u, m) ->
-        if p.remaining.(u) = m then p.live <- p.live - 1;
-        p.remaining.(u) <- p.remaining.(u) - m)
-      p.uses.(pos);
+    let uses = p.uses.(pos) in
+    for i = 0 to Array.length uses - 1 do
+      let u, m = uses.(i) in
+      if p.remaining.(u) = m then p.live <- p.live - 1;
+      p.remaining.(u) <- p.remaining.(u) - m
+    done;
     if p.produces.(pos) && p.consumer_count.(pos) > 0 then
       p.live <- p.live + 1
 
   let pop p pos =
     if p.produces.(pos) && p.consumer_count.(pos) > 0 then
       p.live <- p.live - 1;
-    Array.iter
-      (fun (u, m) ->
-        p.remaining.(u) <- p.remaining.(u) + m;
-        if p.remaining.(u) = m then p.live <- p.live + 1)
-      p.uses.(pos)
+    let uses = p.uses.(pos) in
+    for i = 0 to Array.length uses - 1 do
+      let u, m = uses.(i) in
+      p.remaining.(u) <- p.remaining.(u) + m;
+      if p.remaining.(u) = m then p.live <- p.live + 1
+    done
 end
 
 let schedule_bounded ?(options = default_options) ~registers machine dag =
@@ -867,7 +995,7 @@ let schedule_bounded ?(options = default_options) ~registers machine dag =
     let pressure = Pressure.create dag in
     let push pos k =
       if Pressure.demand pressure pos <= registers then begin
-        count_call env options;
+        count_call env;
         Omega.State.push env.st pos;
         Pressure.push pressure pos;
         k ();
@@ -879,10 +1007,9 @@ let schedule_bounded ?(options = default_options) ~registers machine dag =
   in
   (* The seed is only a reference point, never an incumbent: it may
      violate the register bound.  Evaluating it is pure waste when the
-     search comes up empty, so it is forced only on success. *)
+     search comes up empty, so it is evaluated only on success. *)
   match search ~seeded:false machine dag options ~expand with
-  | initial, Some best, stats, _ ->
-    Ok { best; initial = Lazy.force initial; stats }
+  | initial, Some best, stats, _ -> Ok { best; initial = initial (); stats }
   | _, None, _, _ -> Error ()
 
 let verify_optimal machine dag (outcome : outcome) =

@@ -34,7 +34,12 @@
     ablation-switchable): a stronger {e interchangeable-candidates} check,
     an admissible critical-path lower bound, and a search over pipeline
     {e assignment} for machines that offer several pipelines per operation
-    (the feature footnote 3 excludes from the paper's algorithm). *)
+    (the feature footnote 3 excludes from the paper's algorithm).
+
+    Cost: a search computes the seed heuristic's priorities once (for
+    the seed and for the candidate order), builds one {!Omega.State} and
+    scores the seed on it; after that an Omega call allocates nothing
+    but the memo table's growth, in every entry point. *)
 
 open Pipesched_ir
 open Pipesched_machine
@@ -54,16 +59,18 @@ type lower_bound =
     positions; a node is pruned when a previously explored prefix over
     the same set left the machine in a componentwise no-worse normalized
     state (no more NOPs, no later pipe last-uses, no larger residual
-    producer latencies — all relative to the next issue slot).  The cut
-    is exact: it never changes the reported optimum, only the number of
-    Omega calls spent reaching it (see the soundness argument in
-    optimal.ml). *)
+    producer latencies — all relative to the next issue slot; stored
+    compactly, see {!Fingerprint}).  The cut is exact: it never changes
+    the reported optimum, only the number of Omega calls spent reaching
+    it (see the soundness argument in optimal.ml).  A capacity below 1
+    raises [Invalid_argument] as the search starts. *)
 type memo_options = {
   memo_enabled : bool;  (** master switch for the dominance cut *)
   memo_capacity : int;
-      (** table capacity bound in entries, rounded up to a power of two;
-          the allocation starts small and doubles as entries land, and at
-          the bound old entries are evicted (deepest first) *)
+      (** table capacity bound in entries, at least 1 (checked as the
+          search starts, whatever lambda is), rounded up to a power of
+          two; the allocation starts small and doubles as entries land,
+          and at the bound old entries are evicted (deepest first) *)
   memo_activation : int;
       (** create the table only once this many Omega calls have been
           spent, so trivial searches never pay even the small initial
@@ -139,6 +146,39 @@ type outcome = {
   initial : Omega.result;  (** the evaluated seed (list) schedule *)
   stats : stats;
 }
+
+(** The dominance memo's state encoding and its test (the
+    [memo_options] extension), exposed so tests can check the test
+    against the dense vector it encodes.
+
+    The dense form of a state is mu(Phi), each pipe's last use and one
+    residual latency per position, all relative to the next issue slot
+    (see optimal.ml).  Only the top [max_latency - 1] producers of the
+    schedule stack can have a positive residual, so a row stores mu(Phi),
+    the pipe words, a count and at most [min n (max_latency - 1)]
+    (position, residual) pairs: 10 words on the simulation machine,
+    whatever the block's size. *)
+module Fingerprint : sig
+  type t
+
+  (** The encoding for searches of [dag] on [machine]. *)
+  val create : Machine.t -> Dag.t -> t
+
+  (** Words per row. *)
+  val width : t -> int
+
+  (** [write t st row] encodes the state [st] into [row.(0 .. width - 1)].
+      Allocates nothing. *)
+  val write : t -> Omega.State.t -> int array -> unit
+
+  (** [dominates t rows off row] — does the row stored at [off] in
+      [rows] (a memo table's {!Pipesched_prelude.Memo_table.values})
+      dominate [row]?  Both must encode states over the same scheduled
+      set; the verdict is exactly the dense vectors' componentwise
+      [<=]. *)
+  val dominates :
+    t -> Pipesched_prelude.Memo_table.rows -> int -> int array -> bool
+end
 
 (** [schedule ?options machine dag] runs the search with each operation on
     its default pipeline (the paper's algorithm).  [entry] carries

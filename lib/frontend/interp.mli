@@ -30,3 +30,36 @@ val run_block : Block.t -> env:env -> (string * int) list
     final values of [vars] under [env]? *)
 val equivalent_on :
   Ast.program -> Block.t -> env:env -> vars:string list -> bool
+
+(** {2 Repeated runs over arrays}
+
+    The certifier's semantic check runs every certified block six
+    times (three memories, each on the original and the scheduled
+    order).  A prepared block interns its variables and the producers of
+    its operands once, so each run is one pass over arrays, with no
+    hashing and no reordered block built. *)
+
+(** A block prepared for {!run_prepared}. *)
+type prepared
+
+(** [prepare blk] interns [blk]'s variables and operand producers.
+    Never raises. *)
+val prepare : Block.t -> prepared
+
+(** The variables the block touches, sorted by name (fresh array): the
+    variables of {!run_block}'s result, and the indexing of
+    {!run_prepared}'s memories. *)
+val prepared_vars : prepared -> string array
+
+(** [run_prepared p ~order ~init] runs the block's instructions in
+    [order] (original positions, as for {!Pipesched_ir.Block.permute})
+    from the memory [init] (one value per {!prepared_vars} entry) and
+    returns the final memory, indexed the same way.  These are the
+    values [run_block (Block.permute blk order) ~env] returns when [env]
+    maps each variable to its [init] entry.  [None] exactly when that
+    [Block.permute] or [run_block] call would raise (an order that is
+    not a permutation, an operand reference placed before its producer,
+    a malformed tuple); a caller that needs the error repeats the run
+    that way. *)
+val run_prepared :
+  prepared -> order:int array -> init:int array -> int array option

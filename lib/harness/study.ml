@@ -128,58 +128,87 @@ let run_protected ?(strict = false) ?jobs ?progress f xs =
         | Error { Pool.exn; backtrace } -> Failed { exn; backtrace })
       (Pool.parallel_map_result ?jobs ?progress f xs)
 
-(* Duplicate elimination via the canonical form (three phases, each one
-   deterministic at any job count, so callers' determinism contracts
-   survive):
+(* Duplicate elimination via the canonical form, deterministic at any job
+   count, so callers' determinism contracts survive.  The items go
+   through in windows, in input order, and each window:
 
-   1. the caller produces + keys every item in parallel (per-item fault
-      containment preserved — a failed item arrives as [Error]);
-   2. group by key serially, in input order — the first presentation of
-      each equivalence class becomes the class representative;
-   3. solve only the representatives in parallel, then fan each class's
-      record back out to every member, marked [unique = false] on the
-      copies.
+   1. keys its items in parallel (per-item fault containment preserved
+      — a failed item arrives as [Error]);
+   2. groups them by key serially, in input order — the first
+      presentation of each equivalence class, in this window or an
+      earlier one, becomes the class representative;
+   3. solves the representatives it introduced in parallel, then fans
+      each class's record out to every member, marked [unique = false]
+      on the copies.
+
+   A window holds its items only until they are solved.  A serial run
+   takes one item per window, so no generated block outlives its own
+   search: holding every block of a run through all the searches made
+   them survive into the major heap, which the collector then sizes in
+   proportion.  A parallel run keys and solves everything in one window,
+   for load balance.  The records are the same at every window size.
 
    A duplicate's record mirrors its representative's search (same NOP
    counts by canonical-form soundness; the counters are the
    representative's search, not a hypothetical re-search of the
    duplicate's presentation).  [dedup_stats] reports the savings. *)
-let dedup_keyed ?strict ?jobs ?progress ~solve keyed =
+let dedup_keyed ?strict ?jobs ?progress ~keyed ~solve items =
+  let window = if Pool.resolve_jobs jobs <= 1 then 1 else max_int in
+  (* Every key seen so far, with its representative's result once
+     solved (a key is tagged before its window's solve phase and read
+     after it). *)
   let reps = Hashtbl.create 64 in
-  let uniques = ref [] in
-  let nuniq = ref 0 in
-  let tagged =
-    List.map
-      (function
-        | Error { Pool.exn; backtrace } -> `Failed { exn; backtrace }
-        | Ok (item, key) -> (
-          match Hashtbl.find_opt reps key with
-          | Some idx -> `Dup idx
-          | None ->
-            let idx = !nuniq in
-            incr nuniq;
-            Hashtbl.add reps key idx;
-            uniques := item :: !uniques;
-            `Rep idx))
-      keyed
+  let solved = ref 0 in
+  let progress = Option.map (fun p c -> p (!solved + c)) progress in
+  let rec next_window acc items =
+    if items = [] then List.concat (List.rev acc)
+    else begin
+      let rec split k taken = function
+        | x :: rest when k > 0 -> split (k - 1) (x :: taken) rest
+        | rest -> (List.rev taken, rest)
+      in
+      let now, later = split window [] items in
+      let fresh = ref [] in
+      let tagged =
+        List.map
+          (function
+            | Error { Pool.exn; backtrace } -> `Failed { exn; backtrace }
+            | Ok (item, key) ->
+              if Hashtbl.mem reps key then `Dup key
+              else begin
+                Hashtbl.add reps key None;
+                fresh := (key, item) :: !fresh;
+                `Rep key
+              end)
+          (Pool.parallel_map_result ?jobs keyed now)
+      in
+      let fresh = List.rev !fresh in
+      let results =
+        run_protected ?strict ?jobs ?progress solve (List.map snd fresh)
+      in
+      solved := !solved + List.length fresh;
+      List.iter2 (fun (key, _) r -> Hashtbl.replace reps key (Some r)) fresh
+        results;
+      let result key = Option.get (Hashtbl.find reps key) in
+      let records =
+        List.map
+          (function
+            | `Failed f -> Failed f
+            | `Rep key -> result key
+            | `Dup key -> (
+              match result key with
+              | Scheduled r -> Scheduled { r with unique = false }
+              | Failed f -> Failed f))
+          tagged
+      in
+      next_window (records :: acc) later
+    end
   in
-  let solved =
-    Array.of_list
-      (run_protected ?strict ?jobs ?progress solve (List.rev !uniques))
-  in
-  List.map
-    (function
-      | `Failed f -> Failed f
-      | `Rep idx -> solved.(idx)
-      | `Dup idx -> (
-        match solved.(idx) with
-        | Scheduled r -> Scheduled { r with unique = false }
-        | Failed f -> Failed f))
-    tagged
+  next_window [] items
 
 let run_dedup ?strict ?jobs ?progress ~key ~solve items =
-  dedup_keyed ?strict ?jobs ?progress ~solve
-    (Pool.parallel_map_result ?jobs (fun x -> (x, key x)) items)
+  dedup_keyed ?strict ?jobs ?progress ~keyed:(fun x -> (x, key x)) ~solve
+    items
 
 let run ?(options = default_options) ?deadline_s ?block_deadline_s ?freq
     ?jobs ?strict ?certify ?backend ?(dedup = true) ?progress ~seed
@@ -220,12 +249,9 @@ let run ?(options = default_options) ?deadline_s ?block_deadline_s ?freq
   if not dedup then
     run_protected ?strict ?jobs ?progress (fun s -> solve (generate s)) seed_list
   else
-    dedup_keyed ?strict ?jobs ?progress ~solve
-      (Pool.parallel_map_result ?jobs
-         (fun s ->
-           let blk = generate s in
-           (blk, (Canonical.label (Dag.of_block blk)).Canonical.key))
-         seed_list)
+    dedup_keyed ?strict ?jobs ?progress ~solve seed_list ~keyed:(fun s ->
+        let blk = generate s in
+        (blk, (Canonical.label (Dag.of_block blk)).Canonical.key))
 
 type aggregate = {
   runs : int;

@@ -89,7 +89,9 @@ val run_protected :
     (the fuzzer, tests): keys every item in parallel, groups equal keys
     serially in input order, [solve]s only the first presentation of
     each class across [jobs] domains, and fans its record back out to
-    the other members with [unique = false].  Sound whenever equal keys
+    the other members with [unique = false].  With one job it keys and
+    solves one item at a time, holding no item past its own solve; the
+    records are the same.  Sound whenever equal keys
     imply equal search results — the intended key is
     [Machine.fingerprint ^ Canonical.key].  Fault containment and the
     [strict] switch behave as in {!run_protected} (a raise inside [key]
@@ -144,7 +146,9 @@ val run_dedup :
     isomorphic DAGs — the search result (NOP counts, status) transfers
     exactly.  Still deterministic at any job count: generation +
     canonicalization is a [parallel_map], grouping is serial in input
-    order, and representative solving is another [parallel_map].
+    order, and representative solving is another [parallel_map].  A
+    serial run ([jobs] 1) does this one block at a time, so no block
+    outlives its own search; the records are the same.
     [dedup:false] restores one search per block (the A/B lever for
     testing the soundness claim).  {!dedup_stats} summarizes the
     savings.

@@ -18,24 +18,7 @@ let hash_string s =
   done;
   !h
 
-(* An op's position in [Op.all], which [ops] inverts. *)
-let op_index = function
-  | Op.Const -> 0
-  | Op.Load -> 1
-  | Op.Store -> 2
-  | Op.Mov -> 3
-  | Op.Add -> 4
-  | Op.Sub -> 5
-  | Op.Mul -> 6
-  | Op.Div -> 7
-  | Op.Mod -> 8
-  | Op.Neg -> 9
-  | Op.And -> 10
-  | Op.Or -> 11
-  | Op.Xor -> 12
-  | Op.Shl -> 13
-  | Op.Shr -> 14
-
+(* [Op.index] inverted. *)
 let ops = Array.of_list Op.all
 
 let kind_index = function
@@ -331,6 +314,7 @@ let rec find parent i =
    block (see [materialize]) determine each other. *)
 let pack dag opix perm placed =
   let n = Array.length perm in
+  let load = Op.index Op.Load and store = Op.index Op.Store in
   let parent = Array.init n Fun.id in
   let find = find parent in
   for v = 0 to n - 1 do
@@ -371,7 +355,7 @@ let pack dag opix perm placed =
         else hi := c
       end
     done;
-    if op = op_index Op.Load || op = op_index Op.Store then begin
+    if op = load || op = store then begin
       let r = find v in
       if group.(r) < 0 then begin
         incr groups;
@@ -390,7 +374,7 @@ let pack dag opix perm placed =
 let label dag =
   let blk = Dag.block dag in
   let n = Dag.length dag in
-  let opix = Array.init n (fun i -> op_index (Block.tuple_at blk i).Tuple.op) in
+  let opix = Array.init n (fun i -> Op.index (Block.tuple_at blk i).Tuple.op) in
   let color = Array.map (fun o -> mix 0x9e37 o land max_int) opix in
   let sc = scratch n in
   refine dag sc color;

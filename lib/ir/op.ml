@@ -19,6 +19,25 @@ let all =
   [ Const; Load; Store; Mov; Add; Sub; Mul; Div; Mod; Neg; And; Or; Xor;
     Shl; Shr ]
 
+let count = 15
+
+let index = function
+  | Const -> 0
+  | Load -> 1
+  | Store -> 2
+  | Mov -> 3
+  | Add -> 4
+  | Sub -> 5
+  | Mul -> 6
+  | Div -> 7
+  | Mod -> 8
+  | Neg -> 9
+  | And -> 10
+  | Or -> 11
+  | Xor -> 12
+  | Shl -> 13
+  | Shr -> 14
+
 let binary_ops = [ Add; Sub; Mul; Div; Mod; And; Or; Xor; Shl; Shr ]
 
 let value_arity = function

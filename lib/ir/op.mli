@@ -25,6 +25,13 @@ type t =
 (** All operation kinds, in declaration order. *)
 val all : t list
 
+(** Number of operation kinds ([List.length all]). *)
+val count : int
+
+(** [index op] is [op]'s position in {!all}, in [0 .. count - 1]: a
+    dense key for per-operation tables. *)
+val index : t -> int
+
 (** Binary arithmetic/logic operations (both operands are values). *)
 val binary_ops : t list
 

@@ -4,11 +4,15 @@ type t = {
   name : string;
   pipes : Pipe.t array;
   table : (Op.t * int list) list; (* original mapping, for printing *)
-  candidates : Op.t -> int list;
+  (* Per operation, by [Op.index]: the candidate pipes and the default
+     (first) one, [-1] when resource-free.  Built once by [make], so a
+     lookup is an array read. *)
+  cands : int list array;
+  defaults : int array;
   fingerprint : string;
 }
 
-let render_fingerprint pipes candidates =
+let render_fingerprint pipes cands =
   (* Everything scheduling observes, nothing it does not: pipe
      parameters in id order (labels and the machine name are cosmetic)
      and the op -> candidate-pipe map with ops in declaration order.
@@ -22,7 +26,7 @@ let render_fingerprint pipes candidates =
     pipes;
   List.iter
     (fun op ->
-      match candidates op with
+      match cands.(Op.index op) with
       | [] -> ()
       | pids ->
         Buffer.add_string buf
@@ -36,10 +40,12 @@ let make ~name pipes ~assign =
      pipes this machine schedules with. *)
   let pipes = Array.copy pipes in
   let npipes = Array.length pipes in
-  let tbl = Hashtbl.create 16 in
+  let cands = Array.make Op.count [] in
+  let mapped = Array.make Op.count false in
   List.iter
     (fun (op, pids) ->
-      if Hashtbl.mem tbl op then
+      let i = Op.index op in
+      if mapped.(i) then
         invalid_arg
           ("Machine.make: duplicate mapping for " ^ Op.to_string op);
       List.iter
@@ -47,25 +53,29 @@ let make ~name pipes ~assign =
           if pid < 0 || pid >= npipes then
             invalid_arg "Machine.make: pipeline index out of range")
         pids;
-      Hashtbl.replace tbl op pids)
+      mapped.(i) <- true;
+      cands.(i) <- pids)
     assign;
-  let candidates op = Option.value ~default:[] (Hashtbl.find_opt tbl op) in
-  { name; pipes; table = assign; candidates;
-    fingerprint = render_fingerprint pipes candidates }
+  let defaults =
+    Array.map (function [] -> -1 | pid :: _ -> pid) cands
+  in
+  { name; pipes; table = assign; cands; defaults;
+    fingerprint = render_fingerprint pipes cands }
 
 let name m = m.name
 let pipes m = Array.copy m.pipes
 let pipe_count m = Array.length m.pipes
 let pipe m pid = m.pipes.(pid)
-let candidates m op = m.candidates op
+let candidates m op = m.cands.(Op.index op)
+let default_pipe_id m op = m.defaults.(Op.index op)
 
 let default_pipe m op =
-  match m.candidates op with [] -> None | pid :: _ -> Some pid
+  match m.defaults.(Op.index op) with -1 -> None | pid -> Some pid
 
 let latency m op =
-  match default_pipe m op with
-  | None -> 1
-  | Some pid -> (pipe m pid).Pipe.latency
+  match m.defaults.(Op.index op) with
+  | -1 -> 1
+  | pid -> m.pipes.(pid).Pipe.latency
 
 let fingerprint m = m.fingerprint
 

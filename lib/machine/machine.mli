@@ -29,7 +29,8 @@ val pipe_count : t -> int
 (** [pipe t pid] is the pipeline with index [pid]. *)
 val pipe : t -> int -> Pipe.t
 
-(** All pipelines able to execute [op] (possibly empty). *)
+(** All pipelines able to execute [op] (possibly empty).  Read from a
+    per-operation array built by {!make}: no hashing, no allocation. *)
 val candidates : t -> Op.t -> int list
 
 (** The default pipeline for [op]: the first candidate, or [None] when the
@@ -37,6 +38,10 @@ val candidates : t -> Op.t -> int list
     of §4.2 fixes one pipeline per operation; choosing among several is the
     multi-pipe extension in {!Pipesched_core}). *)
 val default_pipe : t -> Op.t -> int option
+
+(** [default_pipe_id t op] is {!default_pipe} as a plain int, [-1] when
+    the operation uses no pipeline; like {!candidates}, an array read. *)
+val default_pipe_id : t -> Op.t -> int
 
 (** Result latency of [op] on its default pipeline (1 for resource-free
     operations). *)

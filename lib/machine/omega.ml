@@ -19,12 +19,12 @@ let cold_entry machine =
 
 module State = struct
   type t = {
+    machine : Machine.t;
     dag : Dag.t;
     n : int;
     preds : int array array;       (* Dag adjacency, flattened *)
     succs : int array array;
     default_pipe : int array;      (* by original position; -1 = none *)
-    candidate_ok : bool array array; (* [pos].(pipe) valid choice *)
     pipe_latency : int array;      (* by pipeline id *)
     pipe_enqueue : int array;      (* by pipeline id *)
     (* mutable search state *)
@@ -45,36 +45,20 @@ module State = struct
     let n = Dag.length dag in
     let blk = Dag.block dag in
     let npipes = Machine.pipe_count machine in
-    let default_pipe =
-      Array.init n (fun i ->
-          match Machine.default_pipe machine (Block.tuple_at blk i).Tuple.op with
-          | Some p -> p
-          | None -> -1)
-    in
-    let candidate_ok =
-      Array.init n (fun i ->
-          let cands =
-            Machine.candidates machine (Block.tuple_at blk i).Tuple.op
-          in
-          Array.init npipes (fun p -> List.mem p cands))
-    in
-    let pipe_latency =
-      Array.init npipes (fun p -> (Machine.pipe machine p).Pipe.latency)
-    in
-    let pipe_enqueue =
-      Array.init npipes (fun p -> (Machine.pipe machine p).Pipe.enqueue)
-    in
-    let preds = Array.init n (fun i -> Dag.preds_arr dag i) in
-    let succs = Array.init n (fun i -> Dag.succs_arr dag i) in
+    let preds = Array.init n (Dag.preds_arr dag) in
     {
+      machine;
       dag;
       n;
       preds;
-      succs;
-      default_pipe;
-      candidate_ok;
-      pipe_latency;
-      pipe_enqueue;
+      succs = Array.init n (Dag.succs_arr dag);
+      default_pipe =
+        Array.init n (fun i ->
+            Machine.default_pipe_id machine (Block.tuple_at blk i).Tuple.op);
+      pipe_latency =
+        Array.init npipes (fun p -> (Machine.pipe machine p).Pipe.latency);
+      pipe_enqueue =
+        Array.init npipes (fun p -> (Machine.pipe machine p).Pipe.enqueue);
       issue = Array.make n 0;
       prod_latency = Array.make n 1;
       scheduled = Array.make n false;
@@ -102,26 +86,14 @@ module State = struct
   let is_ready st pos =
     (not st.scheduled.(pos)) && st.unsched_preds.(pos) = 0
 
-  let push_on st pos ~pipe =
-    if not (is_ready st pos) then
-      invalid_arg "Omega.State.push: instruction not ready";
-    let p =
-      match pipe with
-      | None ->
-        if st.default_pipe.(pos) <> -1 then
-          invalid_arg "Omega.State.push: operation requires a pipeline";
-        -1
-      | Some p ->
-        if p < 0 || p >= Array.length st.candidate_ok.(pos)
-           || not st.candidate_ok.(pos).(p)
-        then invalid_arg "Omega.State.push: pipeline is not a candidate";
-        p
-    in
+  (* The push itself, on pipe [p] ([-1] = resource-free), which the
+     callers have validated.  Plain loops, not [Array.iter]: this is the
+     innermost search hot path and each closure would be a heap
+     allocation per Omega call. *)
+  let push_pipe st pos p =
     let base =
       if st.sp = 0 then 0 else st.issue.(st.stack.(st.sp - 1)) + 1
     in
-    (* Plain loops, not [Array.iter]: this is the innermost search hot
-       path and each closure would be a heap allocation per Omega call. *)
     let t = ref base in
     if p >= 0 then begin
       let c = st.last_on_pipe.(p) + st.pipe_enqueue.(p) in
@@ -150,9 +122,32 @@ module State = struct
     st.sp <- st.sp + 1;
     st.total_nops <- st.total_nops + eta
 
+  let push_on st pos ~pipe =
+    if not (is_ready st pos) then
+      invalid_arg "Omega.State.push: instruction not ready";
+    let p =
+      match pipe with
+      | None ->
+        if st.default_pipe.(pos) <> -1 then
+          invalid_arg "Omega.State.push: operation requires a pipeline";
+        -1
+      | Some p ->
+        if
+          not
+            (List.mem p
+               (Machine.candidates st.machine
+                  (Block.tuple_at (Dag.block st.dag) pos).Tuple.op))
+        then invalid_arg "Omega.State.push: pipeline is not a candidate";
+        p
+    in
+    push_pipe st pos p
+
+  (* The default pipe is a candidate by construction: no option to
+     allocate, nothing to re-validate. *)
   let push st pos =
-    let dp = st.default_pipe.(pos) in
-    push_on st pos ~pipe:(if dp = -1 then None else Some dp)
+    if not (is_ready st pos) then
+      invalid_arg "Omega.State.push: instruction not ready";
+    push_pipe st pos st.default_pipe.(pos)
 
   let pop st =
     if st.sp = 0 then invalid_arg "Omega.State.pop: empty schedule";
@@ -218,16 +213,32 @@ module State = struct
           st.last_on_pipe;
     }
 
+  let pop_to st depth =
+    while st.sp > depth do
+      pop st
+    done
+
   let complete_greedily st =
     let start_depth = st.sp in
     for pos = 0 to st.n - 1 do
       if not st.scheduled.(pos) then push st pos
     done;
     let r = snapshot st in
-    while st.sp > start_depth do
-      pop st
-    done;
+    pop_to st start_depth;
     r
+
+  let evaluate st ~order =
+    if st.sp <> 0 then invalid_arg "Omega.State.evaluate: schedule not empty";
+    if Array.length order <> st.n then
+      invalid_arg "Omega.evaluate: order length mismatch";
+    match Array.iter (push st) order with
+    | () ->
+      let r = snapshot st in
+      pop_to st 0;
+      r
+    | exception e ->
+      pop_to st 0;
+      raise e
 end
 
 let evaluate_with_pipes ?entry machine dag ~order ~choice =
@@ -246,9 +257,7 @@ let evaluate ?entry machine dag ~order =
     invalid_arg "Omega.evaluate: order length mismatch";
   if not (Dag.is_legal_order dag order) then
     invalid_arg "Omega.evaluate: order violates dependences";
-  let st = State.create ?entry machine dag in
-  Array.iter (fun pos -> State.push st pos) order;
-  State.snapshot st
+  State.evaluate (State.create ?entry machine dag) ~order
 
 (* Latency of the pipeline slot [k] actually ran on.  [r.pipes] records
    the chosen pipeline per schedule position, so results produced by

@@ -97,7 +97,40 @@ val explain :
 val explain_to_string : Machine.t -> Dag.t -> result -> string
 
 module State : sig
-  type t
+  (** The partial schedule.  The record is exposed read-only so the
+      search's inner loop reads the state without a call per field
+      (dune's default profile compiles with [-opaque], so no call into
+      another module is inlined); only the functions below change it.
+      Arrays are shared with the state: never write them. *)
+  type t = private {
+    machine : Machine.t;
+    dag : Dag.t;
+    n : int;  (** instructions in the block *)
+    preds : int array array;  (** DAG predecessors, by position *)
+    succs : int array array;  (** DAG successors, by position *)
+    default_pipe : int array;
+        (** default pipeline by position, [-1] = resource-free *)
+    pipe_latency : int array;  (** by pipeline id *)
+    pipe_enqueue : int array;  (** by pipeline id *)
+    issue : int array;
+        (** issue tick by position (meaningful once scheduled) *)
+    prod_latency : int array;
+        (** latency of the pipeline each scheduled position runs on (1
+            when resource-free): its result is available at
+            [issue + prod_latency] *)
+    scheduled : bool array;  (** by position *)
+    unsched_preds : int array;
+        (** unscheduled DAG predecessors, by position *)
+    last_on_pipe : int array;
+        (** issue tick of the last instruction per pipeline, or a large
+            negative sentinel *)
+    stack : int array;  (** scheduled positions, by depth *)
+    eta_stack : int array;  (** NOPs before each depth *)
+    pipe_stack : int array;  (** pipeline per depth, [-1] = none *)
+    undo_last : int array;  (** [last_on_pipe] before each depth's push *)
+    mutable sp : int;  (** depth: instructions scheduled *)
+    mutable total_nops : int;  (** mu(Phi) *)
+  }
 
   (** A fresh empty partial schedule.  [entry] (default
       {!cold_entry}) carries pipeline state across block boundaries. *)
@@ -121,7 +154,7 @@ module State : sig
 
   (** [push st pos] appends the instruction at original position [pos] on
       its default pipeline, inserting minimal NOPs.  Requires
-      [is_ready st pos]. *)
+      [is_ready st pos].  Allocates nothing. *)
   val push : t -> int -> unit
 
   (** [push_on st pos ~pipe] appends with an explicit pipeline choice.
@@ -131,6 +164,9 @@ module State : sig
 
   (** Remove the most recently pushed instruction.  Requires [depth > 0]. *)
   val pop : t -> unit
+
+  (** [pop_to st d] pops until [depth st <= d]. *)
+  val pop_to : t -> int -> unit
 
   (** NOPs inserted before the most recently pushed instruction. *)
   val last_eta : t -> int
@@ -164,6 +200,15 @@ module State : sig
       order (legal because block order is topological) and return the
       completed schedule's result, leaving the state unchanged. *)
   val complete_greedily : t -> result
+
+  (** [evaluate st ~order] is [Omega.evaluate] on this state: it pushes
+      the whole [order] (each operation on its default pipeline) onto the
+      empty state, snapshots the result and pops back to empty, so a
+      search can score its seed without building a second state.
+      Raises [Invalid_argument] when the state is not empty, [order] is
+      not a whole-block order, or a position is pushed before its
+      predecessors (the state is emptied before raising). *)
+  val evaluate : t -> order:int array -> result
 
   (** The pipeline state a following block would inherit if it started
       issuing on the tick after this (complete) schedule's last

@@ -56,10 +56,17 @@ val clear : t -> unit
 (** [equal s1 s2] tests extensional equality (same capacity required). *)
 val equal : t -> t -> bool
 
-(** The backing word array, shared with the set — read-only by
-    convention, never mutate it.  Allocation-free access for callers
-    that key hash tables by set contents (the search's transposition
-    table). *)
+(** Member [i] is bit [i mod bits_per_word] of word [i / bits_per_word]
+    of {!raw_words} (the layout {!hash} reads), for callers that update
+    the words in place. *)
+val bits_per_word : int
+
+(** The backing word array, shared with the set: a write to it is a
+    write to the set.  Allocation-free access for callers that key hash
+    tables by set contents (the search's transposition table) or that
+    add and remove members in place, without a call per bit (the
+    search's ready and scheduled sets).  Only the bits of members in
+    [0 .. capacity - 1] may ever be set. *)
 val raw_words : t -> int array
 
 (** A word-mixing hash of the set's contents.  Allocation-free;

@@ -2,20 +2,28 @@
     fixed-width integer values, built for the optimal search's
     state-dominance transposition table.
 
-    Everything lives in four flat [int array]s; no allocation happens on
-    lookup, so the search hot path produces no GC pressure.  The backing
-    arrays start at [initial] entries (default: the full capacity) and
-    double transparently on store as the table fills, up to the capacity
-    bound — tiny searches that touch a handful of states never pay for a
-    full-size allocation.  Capacity is bounded: once the bound is
+    Everything lives in four flat int Bigarrays, outside the OCaml
+    heap: the collector never scans a table, and a dead one is freed as
+    a whole when collected instead of sitting in the major heap, which
+    the collector sizes in proportion to what it holds.  A lookup
+    allocates nothing, so lookups put no pressure on the GC; a store
+    allocates only when it grows the table, and that memory counts
+    towards the collector's pace like any large allocation.  The
+    backing arrays start at [initial] entries (default: the full
+    capacity) and double transparently on store as the table fills, up
+    to the capacity bound — tiny searches that touch a handful of states
+    never pay for a full-size allocation.  Capacity is bounded: once the bound is
     reached, when the probe window of a new entry is full, the entry at
     the {e deepest} recorded search depth is evicted (a shallow entry
     guards a larger subtree, so it is worth more), and an entry deeper
     than every incumbent is dropped instead of stored.
 
     Keys are compared for real equality (word by word), never only by
-    hash.  Values are plain int vectors; {!dominates} is the
-    componentwise-[<=] test the dominance pruning needs. *)
+    hash.  Values are plain int rows that the table stores and moves
+    but never interprets: the caller reads a row back through {!values}
+    and runs its own dominance test on it (the search keeps its
+    fingerprint encoding and that test together, in
+    [Pipesched_core.Optimal]). *)
 
 type t
 
@@ -52,11 +60,16 @@ val evictions : t -> int
     stay valid until the next [store] or [clear]. *)
 val find : t -> hash:int -> int array -> int
 
-(** [dominates t slot value] — is the stored value at [slot]
-    componentwise [<=] the candidate [value] (length [value_words])?
-    With the search's fingerprint encoding, [true] means the recorded
-    visit reached the same scheduled set in an equal-or-better state. *)
-val dominates : t -> int -> int array -> bool
+(** The backing store of the value rows. *)
+type rows = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [values t] is the backing store of value rows, shared with the
+    table (read-only by convention: never write it).  The row of [slot]
+    is the [value_words] words starting at [slot * value_words]; only
+    the rows of occupied slots hold anything.  Allocation-free; like a
+    slot, valid until the next [store] or [clear] (a store may grow the
+    table, which moves every row). *)
+val values : t -> rows
 
 (** Search depth recorded with the entry at [slot]. *)
 val depth_at : t -> int -> int

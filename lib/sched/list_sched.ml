@@ -44,11 +44,10 @@ let priorities heuristic dag =
     let rng = Rng.create seed in
     Array.init n (fun _ -> Rng.bits rng)
 
-let schedule heuristic dag =
+let schedule_by_priorities prio dag =
   let n = Dag.length dag in
-  let prio = priorities heuristic dag in
   let unsched_preds =
-    Array.init n (fun i -> List.length (Dag.preds dag i))
+    Array.init n (fun i -> Array.length (Dag.preds_arr dag i))
   in
   let emitted = Array.make n false in
   let order = Array.make n 0 in
@@ -107,15 +106,18 @@ let schedule heuristic dag =
     end;
     order.(k) <- !best;
     emitted.(!best) <- true;
-    List.iter
-      (fun v -> unsched_preds.(v) <- unsched_preds.(v) - 1)
-      (Dag.succs dag !best)
+    let succs = Dag.succs_arr dag !best in
+    for i = 0 to Array.length succs - 1 do
+      unsched_preds.(succs.(i)) <- unsched_preds.(succs.(i)) - 1
+    done
   done;
   order
 
-let order_by_priority heuristic dag =
-  let n = Dag.length dag in
-  let prio = priorities heuristic dag in
+let schedule heuristic dag =
+  schedule_by_priorities (priorities heuristic dag) dag
+
+let order_of_priorities prio =
+  let n = Array.length prio in
   let idx = Array.init n (fun i -> i) in
   (* Stable sort by descending priority; equal priorities keep block order. *)
   let cmp a b =
@@ -123,3 +125,6 @@ let order_by_priority heuristic dag =
   in
   Array.sort cmp idx;
   idx
+
+let order_by_priority heuristic dag =
+  order_of_priorities (priorities heuristic dag)

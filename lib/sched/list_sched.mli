@@ -38,3 +38,12 @@ val schedule : heuristic -> Dag.t -> int array
     priority (not necessarily a legal schedule); the search uses it as its
     candidate-enumeration order. *)
 val order_by_priority : heuristic -> Dag.t -> int array
+
+(** [schedule_by_priorities prio dag] is {!schedule} with the priorities
+    already computed ([prio] as {!priorities} returns it), so a caller
+    that also needs {!order_of_priorities} computes them once. *)
+val schedule_by_priorities : int array -> Dag.t -> int array
+
+(** [order_of_priorities prio] is {!order_by_priority} from precomputed
+    priorities. *)
+val order_of_priorities : int array -> int array

@@ -322,20 +322,59 @@ let check_ordering pairs =
   in
   go pairs
 
+(* Each seed's memory: every variable's value, a pure function of the
+   seed and its name. *)
+let memory seed v = Hashtbl.hash (seed, v) mod 1000
+
+(* The check on two blocks: run the block and its reordering with the
+   reference interpreter.  It raises what [Block.permute] and
+   [Interp.run_block] raise, so [check_semantics] falls back to it
+   whenever a prepared run declines. *)
+let semantics_on_blocks seeds blk ~order =
+  let scheduled = Block.permute blk order in
+  List.concat_map
+    (fun seed ->
+      let env = memory seed in
+      let reference = Interp.run_block blk ~env in
+      let result = Interp.run_block scheduled ~env in
+      List.filter_map
+        (fun (var, x) ->
+          match List.assoc_opt var result with
+          | Some y when y = x -> None
+          | Some y -> Some (Semantics_diverged { var; reference = x; scheduled = y })
+          | None -> Some (Semantics_diverged { var; reference = x; scheduled = env var }))
+        reference)
+    seeds
+
+(* Six runs per certified block over one prepared form.  A run that
+   declines (a malformed block or order) sends the whole check to
+   [semantics_on_blocks], whose results and errors are the reference. *)
 let check_semantics ?(seeds = [ 1; 2; 3 ]) blk ~order =
   try
-    let scheduled = Block.permute blk order in
-    List.concat_map
-      (fun seed ->
-        let env v = Hashtbl.hash (seed, v) mod 1000 in
-        let reference = Interp.run_block blk ~env in
-        let result = Interp.run_block scheduled ~env in
-        List.filter_map
-          (fun (var, x) ->
-            match List.assoc_opt var result with
-            | Some y when y = x -> None
-            | Some y -> Some (Semantics_diverged { var; reference = x; scheduled = y })
-            | None -> Some (Semantics_diverged { var; reference = x; scheduled = env var }))
-          reference)
-      seeds
+    let p = Interp.prepare blk in
+    let vars = Interp.prepared_vars p in
+    let identity = Array.init (Block.length blk) Fun.id in
+    let rec go acc = function
+      | [] -> List.concat (List.rev acc)
+      | seed :: rest -> (
+        let init = Array.map (memory seed) vars in
+        match
+          ( Interp.run_prepared p ~order:identity ~init,
+            Interp.run_prepared p ~order ~init )
+        with
+        | Some reference, Some scheduled ->
+          let diverged = ref [] in
+          for i = Array.length vars - 1 downto 0 do
+            if reference.(i) <> scheduled.(i) then
+              diverged :=
+                Semantics_diverged
+                  { var = vars.(i); reference = reference.(i);
+                    scheduled = scheduled.(i) }
+                :: !diverged
+          done;
+          go (!diverged :: acc) rest
+        | _ -> semantics_on_blocks seeds blk ~order)
+    in
+    (* With no seeds only the reordering itself is checked. *)
+    if seeds = [] then semantics_on_blocks seeds blk ~order else go [] seeds
   with exn -> [ Check_crashed { what = Printexc.to_string exn } ]

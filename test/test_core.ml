@@ -113,6 +113,123 @@ let seed_choice_does_not_change_optimum =
       a = b && b = c)
 
 (* ------------------------------------------------------------------ *)
+(* Every search entry point, pinned                                    *)
+
+(* One line per outcome: best order, pipes and NOPs, the seed's NOPs,
+   and every stats field but [elapsed_s].  The digest below was recorded
+   before the search's inner loop was rewritten; a change that alters
+   any search tree (Omega calls, memo hits, completed schedules) or any
+   answer moves it. *)
+let pin_outcome buf (o : Optimal.outcome) =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let s = o.Optimal.stats in
+  Printf.bprintf buf "%s|%s|%d|%d|%d %d %d %b %s %d %d %d %d\n"
+    (ints o.Optimal.best.Omega.order) (ints o.Optimal.best.Omega.pipes)
+    o.Optimal.best.Omega.nops o.Optimal.initial.Omega.nops
+    s.Optimal.omega_calls s.Optimal.schedules_completed s.Optimal.improvements
+    s.Optimal.completed
+    (Pipesched_prelude.Budget.status_to_string s.Optimal.status)
+    s.Optimal.memo_hits s.Optimal.memo_misses s.Optimal.memo_entries
+    s.Optimal.memo_evictions
+
+let entry_points_digest = "df824b99fda2643010c393c5fd595b86"
+
+let test_entry_points_pinned () =
+  let module Generator = Pipesched_synth.Generator in
+  let buf = Buffer.create 65536 in
+  let lambda options = { options with Optimal.lambda = 20_000 } in
+  (* Study-shaped blocks, ten of them hard (thousands of Omega calls,
+     the memo past its first growth, curtailment at lambda), and small
+     random ones. *)
+  let study seed =
+    let rng = Rng.create seed in
+    Generator.block rng (Generator.sample_params rng)
+  in
+  let blocks =
+    List.init 24 (fun i -> study (7_000 + i))
+    @ List.map study
+        [ 7046; 7103; 7209; 7452; 7669; 7953; 7984; 8242; 8305; 8641 ]
+    @ List.init 24 (fun i -> random_block (Rng.create (9_000 + i)) (4 + i))
+  in
+  let dags = List.map Dag.of_block blocks in
+  let small_memo =
+    { Optimal.default_memo with
+      Optimal.memo_capacity = 16;
+      Optimal.memo_activation = 0 }
+  in
+  let variants =
+    options_variants
+    @ [ ("small-memo", { Optimal.default_options with Optimal.memo = small_memo });
+        ("deep", Optimal.default_options) ]
+  in
+  List.iter
+    (fun (name, options) ->
+      let m = if name = "deep" then Machine.Presets.deep else machine in
+      List.iter
+        (fun dag ->
+          pin_outcome buf (Optimal.schedule ~options:(lambda options) m dag))
+        dags)
+    variants;
+  let multi_options =
+    { Optimal.default_options with
+      Optimal.lambda = 5_000;
+      Optimal.lower_bound = Optimal.Critical_path }
+  in
+  List.iteri
+    (fun i dag ->
+      let rng = Rng.create (11_000 + i) in
+      List.iter
+        (fun m ->
+          let o, choice = Optimal.schedule_multi ~options:multi_options m dag in
+          pin_outcome buf o;
+          Array.iter
+            (function
+              | Some p -> Printf.bprintf buf "%d " p
+              | None -> Buffer.add_string buf "- ")
+            choice;
+          Buffer.add_char buf '\n')
+        [ Machine.Presets.demo; Pipesched_synth.Generator.random_machine rng ])
+    dags;
+  List.iter
+    (fun dag ->
+      List.iter
+        (fun registers ->
+          match
+            Optimal.schedule_bounded
+              ~options:(lambda Optimal.default_options) ~registers machine dag
+          with
+          | Ok o -> pin_outcome buf o
+          | Error () -> Buffer.add_string buf "infeasible\n")
+        [ 2; 4 ])
+    dags;
+  let throttled = Machine.Presets.throttled in
+  let region =
+    Region.schedule ~options:(lambda Optimal.default_options) throttled dags
+  in
+  List.iter
+    (fun (b : Region.block_outcome) ->
+      pin_outcome buf b.Region.outcome;
+      Array.iter (Printf.bprintf buf "%d ") b.Region.entry.Omega.pipe_last_use;
+      Buffer.add_char buf '\n')
+    region.Region.blocks;
+  Printf.bprintf buf "region %d %d %d %d\n" region.Region.total_nops
+    region.Region.cold_total_nops region.Region.cold_claimed_nops
+    region.Region.cold_hazards;
+  List.iter
+    (fun dag ->
+      let o, proved =
+        Optimal.schedule_shared ~options:(lambda Optimal.default_options)
+          ~shared:(Pipesched_prelude.Incumbent.create ()) machine dag
+      in
+      pin_outcome buf o;
+      Printf.bprintf buf "proved %s\n"
+        (match proved with Some p -> string_of_int p | None -> "-"))
+    dags;
+  check Alcotest.string "digest of every entry point's outcomes"
+    entry_points_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* ------------------------------------------------------------------ *)
 (* The paper's Figure 3 block                                          *)
 
 let test_fig3_optimal () =
@@ -262,6 +379,37 @@ let test_no_deadline_reads_no_clock () =
         (Budget.is_complete w.Windowed.status
          = w.Windowed.all_windows_completed))
 
+(* An Omega call allocates nothing: ten times the lambda on a block no
+   entry point finishes (and on which each finds its last improvement
+   early) costs no more minor-heap words.  The memo is off, since its
+   table grows with the search. *)
+let test_omega_call_allocates_nothing () =
+  let module Generator = Pipesched_synth.Generator in
+  let rng = Rng.create 7209 in
+  let dag = Dag.of_block (Generator.block rng (Generator.sample_params rng)) in
+  let options lambda =
+    { Optimal.default_options with
+      Optimal.lambda;
+      Optimal.memo = { Optimal.default_memo with Optimal.memo_enabled = false } }
+  in
+  let words run =
+    let w0 = Gc.minor_words () in
+    run ();
+    Gc.minor_words () -. w0
+  in
+  let check_entry name run =
+    let small = words (fun () -> run (options 100_000)) in
+    let large = words (fun () -> run (options 1_000_000)) in
+    check bool_t (Printf.sprintf "%s: %.0f words, then %.0f" name small large)
+      true (large -. small < 1_000.)
+  in
+  check_entry "schedule" (fun options ->
+      ignore (Optimal.schedule ~options machine dag));
+  check_entry "schedule_multi" (fun options ->
+      ignore (Optimal.schedule_multi ~options Machine.Presets.demo dag));
+  check_entry "schedule_bounded" (fun options ->
+      ignore (Optimal.schedule_bounded ~options ~registers:6 machine dag))
+
 let test_stats_consistency () =
   let rng = Rng.create 99 in
   let blk = random_block rng 10 in
@@ -372,6 +520,128 @@ let memo_preserves_bounded_result =
         on.Optimal.best.Omega.nops = off.Optimal.best.Omega.nops
       | Ok _, Error () | Error (), Ok _ -> false)
 
+(* The dense fingerprint the memo stored before its rows were made
+   compact, copied as the reference model: mu(Phi), each pipe's last use
+   relative to the next issue slot (clamped at -enqueue), and one
+   residual per position (0 unless positive with a consumer still
+   unscheduled). *)
+let dense_fingerprint machine dag st =
+  let n = Dag.length dag in
+  let npipes = Machine.pipe_count machine in
+  let enqueue p = (Machine.pipe machine p).Pipe.enqueue in
+  let max_prod_lat =
+    let m = ref 1 in
+    for p = 0 to npipes - 1 do
+      let l = (Machine.pipe machine p).Pipe.latency in
+      if l > !m then m := l
+    done;
+    !m
+  in
+  let depth = Omega.State.depth st in
+  let base =
+    if depth = 0 then 0
+    else Omega.State.issue_of st (Omega.State.at_depth st (depth - 1)) + 1
+  in
+  let fp = Array.make (1 + npipes + n) 0 in
+  fp.(0) <- Omega.State.nops st;
+  for p = 0 to npipes - 1 do
+    fp.(1 + p) <- max (Omega.State.last_use st p - base) (-enqueue p)
+  done;
+  let k = ref (depth - 1) in
+  let live = ref true in
+  while !live && !k >= 0 do
+    let v = Omega.State.at_depth st !k in
+    if Omega.State.issue_of st v + max_prod_lat <= base then live := false
+    else begin
+      let residual = Omega.State.avail_of st v - base in
+      if residual > 0 then begin
+        let pending =
+          List.exists
+            (fun s -> not (Omega.State.is_scheduled st s))
+            (Dag.succs dag v)
+        in
+        if pending then fp.(1 + npipes + v) <- residual
+      end;
+      decr k
+    end
+  done;
+  fp
+
+let dense_leq a b =
+  let ok = ref true in
+  Array.iteri (fun i x -> if x > b.(i) then ok := false) a;
+  !ok
+
+(* Random push/pop walks (random pipe choices and entry states
+   included) visit many orders of the same scheduled sets; every pair
+   of visited states over one set must get the dense model's verdict. *)
+let fingerprint_matches_dense_model =
+  qtest ~count:300 "compact fingerprint verdicts equal the dense model"
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 1 12) (int_bound 3))
+    (fun (seed, n, mi) -> Printf.sprintf "seed=%d n=%d machine=%d" seed n mi)
+    (fun (seed, n, mi) ->
+      let rng = Rng.create seed in
+      let m =
+        match mi with
+        | 0 -> machine
+        | 1 -> Machine.Presets.demo
+        | 2 -> Machine.Presets.deep
+        | _ -> Pipesched_synth.Generator.random_machine rng
+      in
+      let dag = Dag.of_block (random_block rng n) in
+      let entry =
+        if Rng.int rng 3 > 0 then None
+        else
+          Some
+            { Omega.pipe_last_use =
+                Array.init (Machine.pipe_count m) (fun _ -> -Rng.int rng 12) }
+      in
+      let st = Omega.State.create ?entry m dag in
+      let fp = Optimal.Fingerprint.create m dag in
+      let visits = Hashtbl.create 64 in
+      let record () =
+        let row = Array.make (Optimal.Fingerprint.width fp) 0 in
+        Optimal.Fingerprint.write fp st row;
+        let key =
+          List.filter (Omega.State.is_scheduled st) (List.init n Fun.id)
+        in
+        Hashtbl.add visits key
+          ( Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout row,
+            row,
+            dense_fingerprint m dag st )
+      in
+      record ();
+      for _ = 1 to 400 do
+        let ready = Array.of_list (Omega.State.ready_list st) in
+        if Array.length ready > 0 && (Omega.State.depth st = 0 || Rng.int rng 3 > 0)
+        then begin
+          let pos = Rng.choose rng ready in
+          let op = (Block.tuple_at (Dag.block dag) pos).Tuple.op in
+          (match Machine.candidates m op with
+           | [] -> Omega.State.push_on st pos ~pipe:None
+           | pids ->
+             Omega.State.push_on st pos
+               ~pipe:(Some (Rng.choose rng (Array.of_list pids))));
+          record ()
+        end
+        else if Omega.State.depth st > 0 then begin
+          Omega.State.pop st;
+          record ()
+        end
+      done;
+      List.for_all
+        (fun key ->
+          let states = Hashtbl.find_all visits key in
+          List.for_all
+            (fun (stored_a, _, dense_a) ->
+              List.for_all
+                (fun (_, row_b, dense_b) ->
+                  Optimal.Fingerprint.dominates fp stored_a 0 row_b
+                  = dense_leq dense_a dense_b)
+                states)
+            states)
+        (List.sort_uniq compare (List.of_seq (Hashtbl.to_seq_keys visits))))
+
 let test_memo_reduces_calls () =
   (* The memo only fires on searches that revisit scheduled sets — easy
      blocks (0-NOP optimum) alpha-beta-cut to nothing first.  Scan a
@@ -439,6 +709,26 @@ let test_memo_activation_threshold () =
     (o.Optimal.stats.Optimal.memo_hits
      + o.Optimal.stats.Optimal.memo_misses
      + o.Optimal.stats.Optimal.memo_entries)
+
+(* A capacity below 1 is refused as the search starts, whatever lambda
+   is: not midway, by the first search to reach the activation
+   threshold.  With the memo off the capacity is never used. *)
+let test_memo_capacity_refused () =
+  let dag = Dag.of_block (random_block (Rng.create 7) 6) in
+  let options enabled =
+    { Optimal.default_options with
+      Optimal.lambda = 0;
+      Optimal.memo =
+        { Optimal.default_memo with
+          Optimal.memo_enabled = enabled;
+          Optimal.memo_capacity = 0 } }
+  in
+  Alcotest.check_raises "capacity 0 at lambda 0"
+    (Invalid_argument "Optimal: memo_capacity must be >= 1") (fun () ->
+      ignore (Optimal.schedule ~options:(options true) machine dag));
+  let o = Optimal.schedule ~options:(options false) machine dag in
+  check int_t "memo off: curtailed at once" 0
+    o.Optimal.stats.Optimal.omega_calls
 
 (* ------------------------------------------------------------------ *)
 (* Multi-pipe search                                                   *)
@@ -771,7 +1061,9 @@ let () =
           seed_choice_does_not_change_optimum;
           Alcotest.test_case "figure 3 block" `Quick test_fig3_optimal;
           Alcotest.test_case "[5c] counterexample" `Quick
-            test_5c_counterexample ] );
+            test_5c_counterexample;
+          Alcotest.test_case "entry points pinned" `Quick
+            test_entry_points_pinned ] );
       ( "curtailment",
         [ Alcotest.test_case "lambda stops the search" `Quick
             test_lambda_curtails;
@@ -780,7 +1072,9 @@ let () =
           Alcotest.test_case "no deadline, no clock" `Quick
             test_no_deadline_reads_no_clock;
           Alcotest.test_case "stats consistency" `Quick
-            test_stats_consistency ] );
+            test_stats_consistency;
+          Alcotest.test_case "an Omega call allocates nothing" `Quick
+            test_omega_call_allocates_nothing ] );
       ( "pruning",
         [ pruning_off_matches_pruning_on; alpha_beta_reduces_calls ] );
       ( "memoization",
@@ -790,7 +1084,10 @@ let () =
           Alcotest.test_case "memo fires and reduces calls" `Quick
             test_memo_reduces_calls;
           Alcotest.test_case "activation threshold" `Quick
-            test_memo_activation_threshold ] );
+            test_memo_activation_threshold;
+          fingerprint_matches_dense_model;
+          Alcotest.test_case "capacity below 1 refused" `Quick
+            test_memo_capacity_refused ] );
       ( "pressure-bounded",
         [ bounded_matches_brute_force;
           bounded_never_beats_unbounded;

@@ -184,6 +184,102 @@ let test_semantics_detects_illegal_reorder () =
   let vs = Certify.check_semantics blk ~order:[| 1; 0; 2 |] in
   check bool_t "rejected" false (Certify.certified vs)
 
+(* The semantic check as it ran before it was moved onto prepared
+   arrays: the block and its reordering, each run by the reference
+   interpreter.  The model for the check below. *)
+let semantics_model blk ~order =
+  try
+    let scheduled = Block.permute blk order in
+    List.concat_map
+      (fun seed ->
+        let env v = Hashtbl.hash (seed, v) mod 1000 in
+        let reference = Pipesched_frontend.Interp.run_block blk ~env in
+        let result = Pipesched_frontend.Interp.run_block scheduled ~env in
+        List.filter_map
+          (fun (var, x) ->
+            match List.assoc_opt var result with
+            | Some y when y = x -> None
+            | Some y ->
+              Some (Certify.Semantics_diverged { var; reference = x; scheduled = y })
+            | None ->
+              Some
+                (Certify.Semantics_diverged
+                   { var; reference = x; scheduled = env var }))
+          reference)
+      [ 1; 2; 3 ]
+  with exn -> [ Certify.Check_crashed { what = Printexc.to_string exn } ]
+
+(* Orders of every kind: legal ones, ones that keep only the value
+   references in order (memory operations reorder, so values diverge),
+   permutations that break a reference, repeats, out of range and short
+   ones; and blocks with tuples the interpreter rejects or whose unused
+   operand holds a reference. *)
+let semantics_case_gen =
+  QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 1 14) (int_bound 10))
+
+let semantics_matches_model =
+  qtest ~count:1000 "semantic check matches the two-block check"
+    semantics_case_gen
+    (fun (seed, n, kind) -> Printf.sprintf "seed=%d n=%d kind=%d" seed n kind)
+    (fun (seed, n, kind) ->
+      let rng = Rng.create seed in
+      let source = random_block_with rng n (1 + Rng.int rng 3) in
+      let blk =
+        let tus = Array.to_list (Block.tuples source) in
+        let last = ref None in
+        let edit (tu : Tuple.t) =
+          let tu =
+            match (kind, tu.Tuple.op, !last) with
+            (* A shape the interpreter rejects. *)
+            | 9, Op.Load, _ -> { tu with Tuple.a = Operand.Imm 3 }
+            (* A reference the interpreter never reads, which a
+               reordering must still keep after its producer. *)
+            | 10, Op.Const, Some id -> { tu with Tuple.b = Operand.Ref id }
+            | _ -> tu
+          in
+          if Tuple.produces_value tu then last := Some tu.Tuple.id;
+          tu
+        in
+        if kind < 9 then source else Block.of_tuples_exn (List.map edit tus)
+      in
+      let shuffled () =
+        let a = Array.init n Fun.id in
+        Rng.shuffle rng a;
+        a
+      in
+      (* Keeps the references of [source], not the ones kind 10 adds. *)
+      let by_references () =
+        let tus = Block.tuples source in
+        let placed = Hashtbl.create n in
+        let left = ref (List.init n Fun.id) in
+        Array.init n (fun _ ->
+            let ready =
+              List.filter
+                (fun i ->
+                  List.for_all (Hashtbl.mem placed) (Tuple.value_refs tus.(i)))
+                !left
+            in
+            let pick = List.nth ready (Rng.int rng (List.length ready)) in
+            Hashtbl.replace placed tus.(pick).Tuple.id ();
+            left := List.filter (fun i -> i <> pick) !left;
+            pick)
+      in
+      let order =
+        match kind with
+        | 0 | 1 | 2 ->
+          List_sched.schedule
+            (List_sched.Random_order (Rng.bits rng))
+            (Dag.of_block blk)
+        | 3 | 4 | 5 -> by_references ()
+        | 6 | 9 -> shuffled ()
+        | 10 -> if Rng.bool rng then by_references () else shuffled ()
+        | 7 -> Array.init n (fun i -> if i = 0 then n - 1 else i)
+        | _ ->
+          if n mod 2 = 0 then Array.init n (fun i -> if i = 0 then n else i)
+          else Array.init (n - 1) Fun.id
+      in
+      Certify.check_semantics blk ~order = semantics_model blk ~order)
+
 (* ------------------------------------------------------------------ *)
 (* Machine.validate                                                    *)
 
@@ -287,7 +383,8 @@ let () =
             test_mutation_never_raises;
           Alcotest.test_case "ordering check" `Quick test_ordering_check;
           Alcotest.test_case "illegal reorder semantics" `Quick
-            test_semantics_detects_illegal_reorder ] );
+            test_semantics_detects_illegal_reorder;
+          semantics_matches_model ] );
       ( "machine-validate",
         [ Alcotest.test_case "presets clean" `Quick test_validate_presets_clean;
           Alcotest.test_case "no pipes" `Quick test_validate_no_pipes;
