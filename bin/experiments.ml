@@ -264,8 +264,8 @@ let backend =
   let doc =
     "Scheduler backend for the main study: $(b,bnb) (the paper's \
      branch-and-bound, default), $(b,cp) (the propagation/learning \
-     solver), $(b,portfolio) (both racing, sharing the incumbent), \
-     $(b,windowed), or $(b,list)."
+     solver), $(b,portfolio) (bnb then cp in restart rounds), or \
+     $(b,list)."
   in
   Arg.(value & opt string "bnb" & info [ "backend" ] ~doc)
 

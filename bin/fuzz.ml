@@ -84,9 +84,9 @@ let run_case ~lambda machine blk =
    Scheduler registry, certify best and initial, check the outcome
    contract (proved ⟹ best realizes the proof), and cross-check any
    optimality proof against an independent branch-and-bound run of the
-   same case.  The portfolio backend also cross-checks bnb vs cp inside
-   the race and raises Portfolio.Disagreement — caught below like any
-   scheduler crash.  Either way a wrong proof is a failing case, which
+   same case.  The portfolio backend also checks that the schedule it
+   holds realizes each proof and raises Portfolio.Disagreement — caught
+   below like any scheduler crash.  Either way a wrong proof is a failing case, which
    this fuzzer (the one shrinker) reduces into a repro. *)
 
 let run_case_backend ~lambda ~backend machine blk =
@@ -389,11 +389,11 @@ let backend =
         ~doc:
           "Which scheduler(s) to fuzz: $(b,all) (default; every scheduler \
            differentially, as before) or one Scheduler registry name — \
-           $(b,bnb), $(b,cp), $(b,portfolio), $(b,windowed), $(b,list).  \
-           Single-backend mode certifies the backend's schedules, checks \
-           its outcome contract, and cross-checks any optimality proof \
-           against an independent branch-and-bound run ($(b,portfolio) \
-           cross-checks bnb vs cp internally on every case).")
+           $(b,bnb), $(b,cp), $(b,portfolio), $(b,list).  Single-backend \
+           mode certifies the backend's schedules, checks its outcome \
+           contract, and cross-checks any optimality proof against an \
+           independent branch-and-bound run ($(b,portfolio) also checks \
+           that the schedule it holds realizes every proof).")
 
 let out =
   Arg.(

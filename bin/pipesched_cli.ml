@@ -342,9 +342,9 @@ let backend =
         ~doc:
           "Search backend behind $(b,--scheduler optimal): $(b,bnb) (the \
            paper's branch-and-bound), $(b,cp) (the propagation/learning \
-           solver over issue-slot variables), or $(b,portfolio) (both \
-           racing on two domains, first optimality proof wins).  Any \
-           registered backend name is accepted.")
+           solver over issue-slot variables), or $(b,portfolio) (bnb \
+           then cp in restart rounds on one domain, first optimality \
+           proof wins).  Any registered backend name is accepted.")
 
 let lambda =
   Arg.(

@@ -200,7 +200,7 @@ let backend =
         ~doc:
           "Default scheduler backend: $(b,bnb) (branch-and-bound, \
            default), $(b,cp) (propagation/learning), $(b,portfolio) \
-           (both racing), $(b,windowed), or $(b,list).  Requests may \
+           (bnb then cp in restart rounds), or $(b,list).  Requests may \
            override with a \"backend\" field; the backend is part of \
            the schedule-cache key.")
 

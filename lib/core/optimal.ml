@@ -3,7 +3,6 @@ open Pipesched_machine
 open Pipesched_sched
 module Bitset = Pipesched_prelude.Bitset
 module Budget = Pipesched_prelude.Budget
-module Incumbent = Pipesched_prelude.Incumbent
 module Memo_table = Pipesched_prelude.Memo_table
 
 type lower_bound = Partial_nops | Critical_path
@@ -245,9 +244,6 @@ type search_env = {
      when a deadline or a cancellation token is set. *)
   lambda : int;
   budget : Budget.t option;
-  (* The portfolio's shared incumbent ([None] for a standalone
-     search). *)
-  shared : Omega.result Incumbent.t option;
   mutable omega_calls : int;
   mutable schedules_completed : int;
   mutable improvements : int;
@@ -259,7 +255,7 @@ type search_env = {
    bound; the single-pipe search pins every operation to its default.
    [prio] is the seed heuristic's priorities, computed once per search
    for both the seed and the candidate order. *)
-let make_env ?entry ~multi ?shared machine dag options ~prio =
+let make_env ?entry ~multi machine dag options ~prio =
   let n = Dag.length dag in
   let blk = Dag.block dag in
   let st = Omega.State.create ?entry machine dag in
@@ -390,7 +386,6 @@ let make_env ?entry ~multi ?shared machine dag options ~prio =
                 cancel = options.cancel;
               })
        else None);
-    shared;
     omega_calls = 0;
     schedules_completed = 0;
     improvements = 0;
@@ -564,16 +559,6 @@ let count_call env =
   env.omega_calls <- env.omega_calls + 1;
   if env.omega_calls >= env.activate_at then activate_memo env
 
-(* Exclusive pruning limit: the tighter of this searcher's own best and
-   the shared incumbent's bound (when racing).  Reading the bound is one
-   atomic load; staleness is sound — see Incumbent. *)
-let prune_limit env =
-  match env.shared with
-  | None -> env.best_nops
-  | Some inc ->
-    let s = Incumbent.bound inc in
-    if s < env.best_nops then s else env.best_nops
-
 (* The search skeleton.  [go] opens the node at [depth]: a complete
    schedule is compared against the incumbent; otherwise, unless the
    memo cuts it, every ready candidate the equivalence rules keep is
@@ -587,7 +572,7 @@ let rec go env ~push ~on_complete depth =
   if depth = env.n then begin
     env.schedules_completed <- env.schedules_completed + 1;
     let nops = env.st.Omega.State.total_nops in
-    if nops < prune_limit env then begin
+    if nops < env.best_nops then begin
       env.best_nops <- nops;
       env.improvements <- env.improvements + 1;
       on_complete ()
@@ -663,10 +648,10 @@ and expand env ~push ~on_complete depth rk pos =
         parent was expanded, all remaining siblings fail without
         recomputation. *)
      let parent_bound = env.cp_bound.(depth) in
-     if parent_bound < prune_limit env then begin
+     if parent_bound < env.best_nops then begin
        let b = bound_value env ~floor:parent_bound in
        env.cp_bound.(depth + 1) <- b;
-       if b < prune_limit env then go env ~push ~on_complete (depth + 1)
+       if b < env.best_nops then go env ~push ~on_complete (depth + 1)
      end
    end);
   for j = 0 to Array.length succs - 1 do
@@ -740,36 +725,29 @@ let stats_of env ~completed =
    [seeded]: the evaluated seed is the initial incumbent.  Otherwise
    (the register-bounded search, whose seed may be infeasible) it is
    evaluated only when the caller asks for it, after the search.
-   [shared] races the search against peers through a shared incumbent:
-   the seed and each new best are submitted to it, and its bound
-   tightens pruning whenever a peer publishes first.
+   [bound] is an exclusive NOP bound known from outside (a schedule
+   with that many NOPs exists): the search starts with the tighter of
+   it and the seed, so it only looks for schedules below both.
 
    Returns the seed (a function: evaluated on demand when not
    [seeded]), the last new best (if any), the stats, and on completion
-   the proved optimum — [min own-best shared-bound], since with a peer
-   in play the witness may live on the peer's side of the incumbent. *)
-let search ?entry ?(multi = false) ?shared ?(on_best = ignore) ?expand
-    ~seeded machine dag options =
+   the proved optimum — [min own-best bound], whose witness is the
+   caller's when no schedule below [bound] exists. *)
+let search ?entry ?(multi = false) ?(bound = max_int) ?(on_best = ignore)
+    ?expand ~seeded machine dag options =
   if options.memo.memo_enabled && options.memo.memo_capacity < 1 then
     invalid_arg "Optimal: memo_capacity must be >= 1";
   let prio = List_sched.priorities options.seed dag in
-  let env = make_env ?entry ~multi ?shared machine dag options ~prio in
+  let env = make_env ?entry ~multi machine dag options ~prio in
   let seed () =
     Omega.State.pop_to env.st 0;
     Omega.State.evaluate env.st
       ~order:(List_sched.schedule_by_priorities prio dag)
   in
-  let submit (r : Omega.result) =
-    match shared with
-    | Some inc ->
-      ignore (Incumbent.submit inc ~nops:r.nops (fun () -> r) : bool)
-    | None -> ()
-  in
   let initial =
     if seeded then begin
       let r = seed () in
-      submit r;
-      env.best_nops <- r.nops;
+      env.best_nops <- min r.nops bound;
       fun () -> r
     end
     else seed
@@ -778,8 +756,7 @@ let search ?entry ?(multi = false) ?shared ?(on_best = ignore) ?expand
   let on_complete () =
     let r = Omega.State.complete_greedily env.st in
     best := Some r;
-    on_best ();
-    submit r
+    on_best ()
   in
   let push = Option.map (fun expand -> expand env) expand in
   let completed =
@@ -787,12 +764,12 @@ let search ?entry ?(multi = false) ?shared ?(on_best = ignore) ?expand
     | () -> true
     | exception Curtailed -> false
   in
-  let proved = if completed then Some (prune_limit env) else None in
+  let proved = if completed then Some env.best_nops else None in
   (initial, !best, stats_of env ~completed, proved)
 
-let schedule_default ~options ?entry ?shared machine dag =
+let schedule_default ~options ?entry ?bound machine dag =
   let initial, best, stats, proved =
-    search ?entry ?shared ~seeded:true machine dag options
+    search ?entry ?bound ~seeded:true machine dag options
   in
   let initial = initial () in
   ({ best = Option.value best ~default:initial; initial; stats }, proved)
@@ -800,9 +777,9 @@ let schedule_default ~options ?entry ?shared machine dag =
 let schedule ?(options = default_options) ?entry machine dag =
   fst (schedule_default ~options ?entry machine dag)
 
-(* The B&B side of the portfolio racer (see Portfolio). *)
-let schedule_shared ?(options = default_options) ?entry ~shared machine dag =
-  schedule_default ~options ?entry ~shared machine dag
+(* The B&B side of the portfolio's rounds (see Portfolio). *)
+let schedule_shared ?(options = default_options) ?entry ~bound machine dag =
+  schedule_default ~options ?entry ~bound machine dag
 
 let schedule_multi ?(options = default_options) ?entry machine dag =
   let n = Dag.length dag in

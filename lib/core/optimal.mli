@@ -187,24 +187,20 @@ end
 val schedule :
   ?options:options -> ?entry:Omega.entry -> Machine.t -> Dag.t -> outcome
 
-(** [schedule_shared ~shared machine dag] — {!schedule} attached to an
-    external shared incumbent, for the portfolio racer
-    ({!Pipesched_core.Portfolio}): the evaluated seed and every
-    improvement are submitted to [shared] as they are found, and the
-    incumbent's bound prunes the search whenever a peer backend
-    publishes a better schedule first.  Pruning is at the shared bound
-    itself, so the search never re-finds a schedule that ties a peer's:
-    on a tie the peer keeps the payload.  Returns the usual outcome plus
-    [Some proved] when the search ran to completion: the proved optimal
-    NOP count, which is [min own-best shared-bound] — with a peer in
-    play the proof is relative to the shared bound, so the witness
-    schedule may be held by the peer (fetch it with [Incumbent.best]).
-    With a fresh incumbent and no peer the outcome equals
-    {!schedule}'s. *)
+(** [schedule_shared ~bound machine dag] — {!schedule} below an
+    exclusive NOP bound known from outside, for the portfolio's rounds
+    ({!Pipesched_core.Portfolio}): the caller holds a schedule with
+    [bound] NOPs, so the search prunes at the tighter of [bound] and its
+    own best and only accepts schedules below both.  Returns the usual
+    outcome plus [Some proved] when the search ran to completion: the
+    proved optimal NOP count, [min own-best bound].  When no schedule
+    below [bound] exists the proof is [bound] itself, the witness is the
+    caller's and [best] is the seed.  With [~bound:max_int] the outcome
+    equals {!schedule}'s. *)
 val schedule_shared :
   ?options:options ->
   ?entry:Omega.entry ->
-  shared:Omega.result Pipesched_prelude.Incumbent.t ->
+  bound:int ->
   Machine.t ->
   Dag.t ->
   outcome * int option

@@ -67,7 +67,7 @@ end
 
 module Portfolio_backend : S = struct
   let name = "portfolio"
-  let describe = "bnb and cp racing on two domains, sharing the incumbent"
+  let describe = "bnb then cp in restart rounds, each below the best so far"
 
   let schedule ?(options = Optimal.default_options) ?entry machine dag =
     let p = Portfolio.run ~options ?entry machine dag in
@@ -78,23 +78,6 @@ module Portfolio_backend : S = struct
       completed = p.Portfolio.proved <> None;
       status = p.Portfolio.status;
       proved = p.Portfolio.proved;
-    }
-end
-
-module Windowed_backend : S = struct
-  let name = "windowed"
-  let describe = "locally-optimal windows of 20 over the list schedule"
-
-  let schedule ?(options = Optimal.default_options) ?entry machine dag =
-    let w = Windowed.schedule ~options ?entry ~window:20 machine dag in
-    {
-      best = w.Windowed.best;
-      initial = w.Windowed.initial;
-      calls = w.Windowed.omega_calls;
-      (* locally optimal per window is not a global optimality proof *)
-      completed = false;
-      status = w.Windowed.status;
-      proved = None;
     }
 end
 
@@ -120,7 +103,6 @@ let backends : (module S) list =
     (module Bnb);
     (module Cp);
     (module Portfolio_backend);
-    (module Windowed_backend);
     (module List_backend);
   ]
 

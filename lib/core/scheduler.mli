@@ -1,5 +1,5 @@
 (** The common SCHEDULER interface: every backend — exact searches,
-    heuristics, the portfolio race — as a first-class module taking the
+    the heuristic seed, the portfolio — as a first-class module taking the
     same inputs (options, entry state, machine, DAG) and producing the
     same outcome shape.  Study drivers, the daemon, the fuzzer and the
     CLI dispatch on a backend {e name} instead of hard-wiring
@@ -19,8 +19,7 @@
       [completed = false] with status [Complete] — they terminate
       naturally but prove nothing);
     - with no deadline and no cancellation, the reported schedule is
-      deterministic, except that the portfolio pins only [proved] and
-      [best.nops] (which side finds the witness depends on the race). *)
+      deterministic. *)
 
 open Pipesched_ir
 open Pipesched_machine
@@ -53,8 +52,7 @@ end
 
 (** The registry, in listing order: ["bnb"] ({!Optimal.schedule}),
     ["cp"] ({!Pipesched_solve.Cp.solve}), ["portfolio"]
-    ({!Portfolio.run}), ["windowed"] ({!Windowed.schedule}, window 20),
-    ["list"] (the seed heuristic alone). *)
+    ({!Portfolio.run}), ["list"] (the seed heuristic alone). *)
 val backends : (module S) list
 
 (** [find name] looks the backend up by name. *)

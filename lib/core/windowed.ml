@@ -18,9 +18,13 @@ exception Budget_exhausted
 let schedule ?(options = Optimal.default_options) ?entry ~window machine dag =
   if window < 1 then invalid_arg "Windowed.schedule: window must be >= 1";
   let n = Dag.length dag in
-  let seed_order = List_sched.schedule options.Optimal.seed dag in
-  let initial = Omega.evaluate ?entry machine dag ~order:seed_order in
+  (* One setup pass, as in Optimal: the seed heuristic's priorities give
+     both the seed and the candidate order, and the seed is scored on
+     the state the windows then search. *)
+  let prio = List_sched.priorities options.Optimal.seed dag in
+  let seed_order = List_sched.schedule_by_priorities prio dag in
   let st = Omega.State.create ?entry machine dag in
+  let initial = Omega.State.evaluate st ~order:seed_order in
   let budget =
     Budget.start
       {
@@ -49,9 +53,7 @@ let schedule ?(options = Optimal.default_options) ?entry ~window machine dag =
     spend_push pos
   in
   (* Candidate iteration order within windows: list priority. *)
-  let cand_order =
-    List_sched.order_by_priority options.Optimal.seed dag
-  in
+  let cand_order = List_sched.order_of_priorities prio in
   let window_count = (n + window - 1) / window in
   let chunk_of = Array.make n 0 in
   Array.iteri (fun k pos -> chunk_of.(pos) <- k / window) seed_order;

@@ -690,17 +690,17 @@ let print_dynamic_study ?(seed = 1994) ?(count = 120) fmt =
     schedulers
 
 (* ------------------------------------------------------------------ *)
-(* Portfolio study: the bnb / cp race over a mixed corpus (DESIGN §14) *)
+(* Portfolio study: bnb then cp in rounds over a mixed corpus (§14)    *)
 
 let print_portfolio_study ?(seed = 1990) ?(count = 80) ?(lambda = 50_000)
     fmt =
   Format.fprintf fmt
-    "@.Portfolio study: bnb vs cp racing over %d machine/block pairs \
-     (lambda %d per side)@."
+    "@.Portfolio study: bnb then cp in restart rounds over %d \
+     machine/block pairs (lambda %d per side)@."
     count lambda;
   Format.fprintf fmt
-    "  (alternating the simulation machine and random machines; first \
-     side to prove optimality wins and cancels the peer)@.";
+    "  (alternating the simulation machine and random machines; the \
+     first proof ends a block's rounds)@.";
   let options = { Optimal.default_options with Optimal.lambda } in
   let wins_bnb = ref 0 and wins_cp = ref 0 and neither = ref 0 in
   let disagreements = ref 0 and proved = ref 0 in

@@ -117,14 +117,15 @@ val print_pressure_study :
 val print_dynamic_study :
   ?seed:int -> ?count:int -> Format.formatter -> unit
 
-(** Extension: the portfolio race (DESIGN.md §14).  Runs
+(** Extension: the portfolio (DESIGN.md §14).  Runs
     {!Pipesched_core.Portfolio.run} over [count] machine/block pairs —
     alternating the simulation machine with {!Generator.random_machine}
-    draws — and reports per-backend first-proof win counts, the proved
-    fraction, and the number of bnb-vs-cp optimum disagreements (always
-    0 unless a solver is buggy; CI greps the
+    draws — and reports which side proved each block, the proved
+    fraction, and the number of disagreements, proofs the held schedule
+    does not realize (always 0 unless a solver is buggy; CI greps the
     ["portfolio disagreements: 0"] line).  [lambda] is each side's
-    budget in its own units (default 50,000). *)
+    last-round budget in its own units (default 50,000).  The output is
+    deterministic. *)
 val print_portfolio_study :
   ?seed:int -> ?count:int -> ?lambda:int -> Format.formatter -> unit
 

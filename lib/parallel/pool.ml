@@ -115,43 +115,6 @@ let parallel_map ?jobs ?progress f xs =
            results)
   end
 
-(* A fixed team of [jobs] collaborating workers (they share state by
-   design — e.g. the portfolio's incumbent and stop token — unlike the
-   pure map above).  Worker 0 runs on the calling domain, so
-   [team ~jobs:1 f] is exactly [f 0] with no domain spawned and the
-   caller's DLS untouched;
-   spawned workers get [inside_worker] set so any parallel_map they
-   reach runs serially.  All workers are joined before returning; the
-   first exception (worker 0 first, then spawn order) is re-raised. *)
-let team ~jobs f =
-  let jobs = max 1 jobs in
-  if jobs = 1 then f 0
-  else begin
-    let spawned =
-      List.init (jobs - 1) (fun i ->
-          Domain.spawn (fun () ->
-              Domain.DLS.set inside_worker true;
-              f (i + 1)))
-    in
-    let err0 =
-      match f 0 with
-      | () -> None
-      | exception exn -> Some (exn, Printexc.get_raw_backtrace ())
-    in
-    let errs =
-      List.filter_map
-        (fun d ->
-          match Domain.join d with
-          | () -> None
-          | exception exn -> Some (exn, Printexc.get_raw_backtrace ()))
-        spawned
-    in
-    match (err0, errs) with
-    | Some (exn, bt), _ | None, (exn, bt) :: _ ->
-      Printexc.raise_with_backtrace exn bt
-    | None, [] -> ()
-  end
-
 type failure = { exn : string; backtrace : string }
 
 let parallel_map_result ?jobs ?progress f xs =

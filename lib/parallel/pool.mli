@@ -71,15 +71,3 @@ val parallel_map_result :
   ('a -> 'b) ->
   'a list ->
   ('b, failure) result list
-
-(** [team ~jobs f] runs [f 0 .. f (jobs-1)] as a fixed team of
-    collaborating workers and waits for all of them.  Unlike
-    {!parallel_map}'s items, team workers are {e expected} to share
-    state (the portfolio's two sides share an incumbent and a stop
-    token) — the caller is responsible for that state's thread safety.  Worker 0 runs
-    on the calling domain (so [~jobs:1] spawns nothing and is exactly
-    [f 0]); the [jobs - 1] spawned domains are flagged as pool workers
-    so nested {!parallel_map} calls inside them run serially.  If any
-    worker raises, the first exception (worker 0 first, then spawn
-    order) is re-raised after all workers have been joined. *)
-val team : jobs:int -> (int -> unit) -> unit

@@ -7,20 +7,12 @@
    creation and then only once every [check_stride] spends, keeping the
    per-call overhead of deadline checking to an integer mask test. *)
 
-(* A token optionally chains to a parent: [derive]d tokens trip when
-   either their own flag or any ancestor's is set, so a sub-search can be
-   cancelled on its own (portfolio loser cut-off) while still honouring a
-   caller-wide token.  The chain is almost always empty or one link, so
-   [is_cancelled] stays one or two atomic loads. *)
-type token = { flag : bool Atomic.t; parent : token option }
+(* A token is one flag, set from any domain and polled by searches. *)
+type token = bool Atomic.t
 
-let token () = { flag = Atomic.make false; parent = None }
-let derive parent = { flag = Atomic.make false; parent = Some parent }
-let cancel t = Atomic.set t.flag true
-
-let rec is_cancelled t =
-  Atomic.get t.flag
-  || (match t.parent with Some p -> is_cancelled p | None -> false)
+let token () = Atomic.make false
+let cancel t = Atomic.set t true
+let is_cancelled t = Atomic.get t
 
 type status = Complete | Curtailed_lambda | Curtailed_deadline | Cancelled
 

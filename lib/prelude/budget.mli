@@ -14,18 +14,11 @@
     test otherwise), bounding the overshoot past the deadline to a few
     dozen cheap Omega calls. *)
 
-(** Cross-domain cancellation flag (an [Atomic.t] under the hood): safe
-    to {!cancel} from any domain while searches poll it from workers. *)
+(** Cross-domain cancellation flag (one [Atomic.t] bool): safe to
+    {!cancel} from any domain while searches poll it from workers. *)
 type token
 
 val token : unit -> token
-
-(** [derive parent] is a fresh token that also reports cancelled whenever
-    [parent] (or any of its ancestors) is cancelled, while {!cancel} on
-    the derived token leaves the parent untouched.  This lets a composite
-    search (the portfolio racer) cut off its own sides without consuming
-    the caller's token. *)
-val derive : token -> token
 
 val cancel : token -> unit
 val is_cancelled : token -> bool

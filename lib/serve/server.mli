@@ -23,7 +23,7 @@
     onto the anytime search, which then returns its best incumbent with
     a non-["Complete"] status on expiry.  An optional ["backend"] field
     selects the scheduler by {!Pipesched_core.Scheduler} registry name
-    (["bnb"], ["cp"], ["portfolio"], ["windowed"], ["list"]; default the
+    (["bnb"], ["cp"], ["portfolio"], ["list"]; default the
     server's configured backend); unknown names fail the request.  An optional ["detail": true]
     asks for a ["cached": true|false] field in the response (whether
     the schedule came from the cache) — opt-in, because cached and
@@ -84,8 +84,8 @@
     down.
 
     {!handle_line} takes the cache's own mutex only; it is safe to call
-    concurrently from many domains (the daemon runs one
-    {!Pipesched_parallel.Pool.team} worker per job). *)
+    concurrently from many domains ({!Daemon.supervise} spawns one
+    worker domain per job). *)
 
 type t
 

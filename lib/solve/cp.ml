@@ -8,7 +8,6 @@ open Pipesched_ir
 open Pipesched_machine
 open Pipesched_sched
 module Budget = Pipesched_prelude.Budget
-module Incumbent = Pipesched_prelude.Incumbent
 
 type stats = {
   queries : int;
@@ -729,13 +728,9 @@ type acc = {
   mutable a_learned : int;
 }
 
-type qres = Sat of int array | Unsat | Curtailed of Budget.status | New_bound of int
+type qres = Sat of int array | Unsat | Curtailed of Budget.status
 
-(* [ext_bound] polls the shared incumbent ([max_int] standalone); a peer
-   bound at or below the target answers this query from outside (a
-   witness schedule exists), so the optimizer rebuilds at the tighter
-   target. *)
-let run_query q budget acc ~target ~all_insts ~ext_bound =
+let run_query q budget acc ~all_insts =
   if pack_infeasible q all_insts then Unsat
   else begin
     let restart_lim = ref 128 in
@@ -757,17 +752,12 @@ let run_query q budget acc ~target ~all_insts ~ext_bound =
           result := Some (Sat order)
         end
         else begin
-          let ext =
-            if acc.a_decisions land 63 = 0 then ext_bound () else max_int
-          in
-          if ext <= target then result := Some (New_bound ext)
-          else
-            match Budget.exhausted budget with
-            | Some s -> result := Some (Curtailed s)
-            | None ->
-              Budget.spend budget;
-              acc.a_decisions <- acc.a_decisions + 1;
-              decide q
+          match Budget.exhausted budget with
+          | Some s -> result := Some (Curtailed s)
+          | None ->
+            Budget.spend budget;
+            acc.a_decisions <- acc.a_decisions + 1;
+            decide q
         end
       | confl ->
         if q.level_n = 0 then result := Some Unsat
@@ -841,7 +831,7 @@ let root_lower_bound machine dag ~entry =
     max 0 (!span - (n - 1))
 
 let solve ?(lambda = 200_000) ?deadline_s ?cancel
-    ?(seed = List_sched.Max_distance) ?entry ?shared machine dag =
+    ?(seed = List_sched.Max_distance) ?entry ?(bound = max_int) machine dag =
   let n = Dag.length dag in
   let entry_v =
     match entry with Some e -> e | None -> Omega.cold_entry machine
@@ -851,23 +841,13 @@ let solve ?(lambda = 200_000) ?deadline_s ?cancel
   let budget =
     Budget.start { Budget.calls = Some lambda; deadline_s; cancel }
   in
-  let ext_bound, submit =
-    match shared with
-    | None -> ((fun () -> max_int), ignore)
-    | Some inc ->
-      ( (fun () -> Incumbent.bound inc),
-        fun r ->
-          ignore
-            (Incumbent.submit inc ~nops:r.Omega.nops (fun () -> r) : bool) )
-  in
-  submit initial;
   let acc =
     { a_decisions = 0; a_conflicts = 0; a_props = 0; a_restarts = 0;
       a_learned = 0 }
   in
   let queries = ref 0 in
   let best = ref initial in
-  let ub = ref initial.Omega.nops in
+  let ub = ref (min initial.Omega.nops bound) in
   let status = ref Budget.Complete in
   let completed = ref false in
   let all_insts = Array.init n (fun i -> i) in
@@ -883,8 +863,6 @@ let solve ?(lambda = 200_000) ?deadline_s ?cancel
        let lb = ref (root_lower_bound machine dag ~entry:entry_v) in
        let running = ref true in
        while !running do
-         let ext = ext_bound () in
-         if ext < !ub then ub := ext;
          if !ub <= !lb then begin
            completed := true;
            running := false
@@ -895,7 +873,7 @@ let solve ?(lambda = 200_000) ?deadline_s ?cancel
            | Infeasible -> lb := target + 1
            | Query q ->
              incr queries;
-             (match run_query q budget acc ~target ~all_insts ~ext_bound with
+             (match run_query q budget acc ~all_insts with
               | Unsat -> lb := target + 1
               | Sat order ->
                 let r = Omega.evaluate ?entry machine dag ~order in
@@ -904,9 +882,7 @@ let solve ?(lambda = 200_000) ?deadline_s ?cancel
                    soundness bug. *)
                 assert (r.Omega.nops <= target);
                 if r.Omega.nops < !best.Omega.nops then best := r;
-                submit r;
                 if r.Omega.nops < !ub then ub := r.Omega.nops
-              | New_bound v -> if v < !ub then ub := v
               | Curtailed s ->
                 status := s;
                 running := false)

@@ -1,5 +1,6 @@
 (** A home-grown propagation/learning (CDCL) scheduler — the second
-    optimal backend, racing the branch-and-bound under the portfolio.
+    optimal backend, run after the branch-and-bound in the portfolio's
+    rounds.
 
     The Ω decision problem "is there a schedule with at most [target]
     NOPs?" is encoded over boolean {e issue-slot} variables [x(i, t)] —
@@ -43,7 +44,6 @@
 open Pipesched_ir
 open Pipesched_machine
 module Budget = Pipesched_prelude.Budget
-module Incumbent = Pipesched_prelude.Incumbent
 
 type stats = {
   queries : int;      (** decision problems solved (bound tightenings) *)
@@ -55,10 +55,10 @@ type stats = {
   completed : bool;   (** optimality proved *)
   status : Budget.status;
   proved : int option;
-      (** [Some v] iff [completed]: the proved optimal NOP count.  With a
-          shared incumbent the proof is relative to the shared bound, so
-          the witness schedule may be held by a peer backend and [best]
-          may be worse than [v]; standalone, [best.nops = v] always. *)
+      (** [Some v] iff [completed]: the proved optimal NOP count.  Under
+          a [bound] the proof may be the bound itself, whose witness is
+          the caller's, so [best] may be worse than [v]; with no bound,
+          [best.nops = v] always. *)
 }
 
 type outcome = {
@@ -74,19 +74,19 @@ type outcome = {
     the B&B: on expiry the best incumbent so far is returned with the
     tripping status.  [seed] picks the list-scheduler heuristic for the
     initial incumbent (default [Max_distance], matching
-    [Optimal.default_options]).  [shared] attaches a shared incumbent:
-    the seed and every improvement are submitted to it, and a peer's
-    published bound tightens this side's target (the portfolio's two-way
-    pruning).  Determinism: with no deadline
-    and no shared incumbent the solve is bit-for-bit reproducible — no
-    clock reads, no randomness. *)
+    [Optimal.default_options]).  [bound] is an exclusive NOP bound known
+    from outside (default [max_int]): the caller holds a schedule with
+    that many NOPs, so the solve starts its ceiling at the tighter of
+    [bound] and the seed (the portfolio's rounds pass the best schedule
+    found so far).  Determinism: with no deadline the solve is
+    bit-for-bit reproducible — no clock reads, no randomness. *)
 val solve :
   ?lambda:int ->
   ?deadline_s:float ->
   ?cancel:Budget.token ->
   ?seed:Pipesched_sched.List_sched.heuristic ->
   ?entry:Omega.entry ->
-  ?shared:Omega.result Incumbent.t ->
+  ?bound:int ->
   Machine.t ->
   Dag.t ->
   outcome

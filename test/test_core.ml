@@ -219,7 +219,7 @@ let test_entry_points_pinned () =
     (fun dag ->
       let o, proved =
         Optimal.schedule_shared ~options:(lambda Optimal.default_options)
-          ~shared:(Pipesched_prelude.Incumbent.create ()) machine dag
+          ~bound:max_int machine dag
       in
       pin_outcome buf o;
       Printf.bprintf buf "proved %s\n"
@@ -996,9 +996,7 @@ let test_verify_optimal_detects_suboptimal () =
       (Optimal.verify_optimal machine dag fake)
 
 (* ------------------------------------------------------------------ *)
-(* The portfolio's entry point, outside the race                       *)
-
-module Incumbent = Pipesched_prelude.Incumbent
+(* The portfolio's entry point, outside the rounds                     *)
 
 let shared_case_gen =
   QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 12))
@@ -1020,8 +1018,7 @@ let shared_alone_is_schedule =
       let m, dag = shared_case case in
       let o = Optimal.schedule ~options:shared_options m dag in
       let s, proved =
-        Optimal.schedule_shared ~options:shared_options
-          ~shared:(Incumbent.create ()) m dag
+        Optimal.schedule_shared ~options:shared_options ~bound:max_int m dag
       in
       let timeless st = { st with Optimal.elapsed_s = 0.0 } in
       s.Optimal.best = o.Optimal.best
@@ -1032,24 +1029,20 @@ let shared_alone_is_schedule =
               Some o.Optimal.best.Omega.nops
             else None))
 
-(* The search prunes at the shared bound itself, so neither its seed nor
-   its own schedules can displace a peer's witness that already ties the
-   optimum: the peer's payload stays, physically the same value. *)
+(* The bound is exclusive: given the optimum as its bound, the search
+   proves it without returning a schedule that only ties it, so the
+   witness stays the caller's and [best] is the seed. *)
 let shared_proves_peer_optimum =
   qtest ~count:200 "schedule_shared proves an optimum a peer found first"
     shared_case_gen shared_case_print (fun case ->
       let m, dag = shared_case case in
       let o = Optimal.schedule m dag in
       QCheck2.assume o.Optimal.stats.Optimal.completed;
-      let shared = Incumbent.create () in
       let opt = o.Optimal.best.Omega.nops in
-      ignore
-        (Incumbent.submit shared ~nops:opt (fun () -> o.Optimal.best) : bool);
-      snd (Optimal.schedule_shared ~shared m dag) = Some opt
-      &&
-      match Incumbent.best shared with
-      | Some (v, r) -> v = opt && r == o.Optimal.best
-      | None -> false)
+      let s, proved = Optimal.schedule_shared ~bound:opt m dag in
+      proved = Some opt
+      && s.Optimal.best.Omega.nops >= opt
+      && s.Optimal.best = s.Optimal.initial)
 
 let () =
   Alcotest.run "core"

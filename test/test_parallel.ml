@@ -1,7 +1,7 @@
 (* Tests for Pipesched_parallel.Pool and the determinism contracts that
    rest on it: the parallel study driver (Study.run is record-for-record
    identical at any job count, modulo wall-clock time) and the search run
-   on team domains. *)
+   on concurrent domains. *)
 
 open Pipesched_ir
 module Pool = Pipesched_parallel.Pool
@@ -83,11 +83,12 @@ let study_jobs_invariance =
 module Optimal = Pipesched_core.Optimal
 module Generator = Pipesched_synth.Generator
 
-(* The portfolio runs the branch-and-bound on a [Pool.team] domain, so a
-   search may share no mutable state with searches on other domains:
-   concurrent team workers must reproduce the calling domain's outcome
-   byte for byte.  lambda counts Omega calls, not time, so this holds
-   for curtailed searches too; the small lambda makes both kinds occur. *)
+(* The study's pool and the daemon's workers run searches on separate
+   domains at once, so a search may share no mutable state with searches
+   on other domains: concurrent domains must reproduce the calling
+   domain's outcome byte for byte.  lambda counts Omega calls, not time,
+   so this holds for curtailed searches too; the small lambda makes both
+   kinds occur. *)
 let domain_options = { Optimal.default_options with Optimal.lambda = 500 }
 
 let timeless (o : Optimal.outcome) =
@@ -111,10 +112,9 @@ let team_reproduces_serial =
       let m = Generator.random_machine rng in
       let dag = Dag.of_block (random_block rng n) in
       let serial = all_entry_points m dag in
-      let jobs = 3 in
-      let slots = Array.make jobs None in
-      Pool.team ~jobs (fun i -> slots.(i) <- Some (all_entry_points m dag));
-      Array.for_all (fun got -> got = Some serial) slots)
+      List.init 3 (fun _ -> Domain.spawn (fun () -> all_entry_points m dag))
+      |> List.map Domain.join
+      |> List.for_all (fun got -> got = serial))
 
 (* ------------------------------------------------------------------ *)
 (* Flattened adjacency agrees with the list API                        *)

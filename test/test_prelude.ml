@@ -498,74 +498,6 @@ let test_budget_expiry_lambda_only_when_tripped () =
   check bool_t "tripped" true (Budget.expiry b = Some Budget.Curtailed_lambda)
 
 (* ------------------------------------------------------------------ *)
-(* Incumbent: shared monotone bound, first publisher keeps a tie      *)
-
-module Incumbent = Pipesched_prelude.Incumbent
-
-let test_incumbent_empty () =
-  let t : int Incumbent.t = Incumbent.create () in
-  check int_t "bound is max_int" max_int (Incumbent.bound t);
-  check bool_t "no best" true (Incumbent.best t = None);
-  check bool_t "anything accepted" true
-    (Incumbent.submit t ~nops:1000 (fun () -> 0))
-
-let test_incumbent_monotone () =
-  let t : string Incumbent.t = Incumbent.create () in
-  check bool_t "first accepted" true
-    (Incumbent.submit t ~nops:10 (fun () -> "a"));
-  check int_t "bound set" 10 (Incumbent.bound t);
-  (* Worse value rejected; payload thunk never evaluated. *)
-  check bool_t "worse rejected" false
-    (Incumbent.submit t ~nops:11 (fun () ->
-         Alcotest.fail "payload evaluated on rejection"));
-  (* Equal value rejected: the first schedule at a count keeps it. *)
-  check bool_t "tie rejected" false
-    (Incumbent.submit t ~nops:10 (fun () ->
-         Alcotest.fail "payload evaluated on tie rejection"));
-  check bool_t "first publisher kept" true (Incumbent.best t = Some (10, "a"));
-  (* A strictly better value wins. *)
-  check bool_t "better wins" true (Incumbent.submit t ~nops:9 (fun () -> "c"));
-  check int_t "bound lowered" 9 (Incumbent.bound t);
-  check bool_t "final" true (Incumbent.best t = Some (9, "c"))
-
-let test_incumbent_seed_precedes_all () =
-  let t : string Incumbent.t = Incumbent.create () in
-  check bool_t "seed accepted" true
-    (Incumbent.submit t ~nops:4 (fun () -> "seed"));
-  (* No searcher can claim an equal-value tie against the seed. *)
-  check bool_t "tie vs seed rejected" false
-    (Incumbent.submit t ~nops:4 (fun () -> "search"));
-  check bool_t "seed kept" true (Incumbent.best t = Some (4, "seed"))
-
-let test_incumbent_concurrent_converges () =
-  (* Hammer one incumbent from several domains.  Every domain must see
-     the bound only ever decrease, and the race must converge to the
-     least submitted value with a payload submitted at that value. *)
-  let t : (int * int) Incumbent.t = Incumbent.create () in
-  let value w i = 20 + ((i + w) mod 10) in
-  let domains =
-    List.init 4 (fun w ->
-        Domain.spawn (fun () ->
-            let monotone = ref true and last = ref max_int in
-            for i = 0 to 99 do
-              ignore
-                (Incumbent.submit t ~nops:(value w i) (fun () -> (w, i))
-                  : bool);
-              let b = Incumbent.bound t in
-              if b > !last then monotone := false;
-              last := b
-            done;
-            !monotone))
-  in
-  check bool_t "bound never rises" true
-    (List.for_all Fun.id (List.map Domain.join domains));
-  check int_t "converged to the least value" 20 (Incumbent.bound t);
-  match Incumbent.best t with
-  | Some (20, (w, i)) ->
-    check int_t "payload submitted at the bound" 20 (value w i)
-  | _ -> Alcotest.fail "best does not match the bound"
-
-(* ------------------------------------------------------------------ *)
 (* Lru                                                                 *)
 
 module Lru = Pipesched_prelude.Lru
@@ -962,14 +894,6 @@ let () =
             test_budget_expiry_unstrided_deadline;
           Alcotest.test_case "expiry lambda only when tripped" `Quick
             test_budget_expiry_lambda_only_when_tripped ] );
-      ( "incumbent",
-        [ Alcotest.test_case "empty" `Quick test_incumbent_empty;
-          Alcotest.test_case "monotone + tie-break" `Quick
-            test_incumbent_monotone;
-          Alcotest.test_case "seed precedes all" `Quick
-            test_incumbent_seed_precedes_all;
-          Alcotest.test_case "concurrent converges" `Quick
-            test_incumbent_concurrent_converges ] );
       ( "lru",
         [ Alcotest.test_case "capacity bound" `Quick test_lru_capacity_bound;
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;

@@ -1,6 +1,6 @@
 (* Conformance suite for the common SCHEDULER interface
    (Pipesched_core.Scheduler): every registered backend — exact
-   searches, the cp solver, the portfolio race, the heuristics — must
+   searches, the cp solver, the portfolio, the heuristic seed — must
    honor the same outcome contract (see scheduler.mli).  The properties
    here are backend-generic on purpose: adding a backend to the
    registry automatically puts it under this suite. *)
@@ -34,7 +34,7 @@ let all_clean what vs =
 
 let registry_is_complete () =
   Alcotest.(check (list string))
-    "registry names" [ "bnb"; "cp"; "portfolio"; "windowed"; "list" ]
+    "registry names" [ "bnb"; "cp"; "portfolio"; "list" ]
     Scheduler.names;
   List.iter
     (fun name ->
@@ -209,6 +209,30 @@ let anytime_under_cancellation =
                (Certify.check machine blk o.Scheduler.best))
         exact)
 
+(* The rounds before the last give bnb 500, 2,000, ... Omega calls while
+   4s <= lambda, so they add at most lambda/3 to the last round's
+   lambda.  At lambda 20,000 no round proves generator seed 28 on its
+   random machine, so every round runs to its budget: bnb spends
+   500 + 2,000 + 20,000 calls, and cp at least 31 + 125 + 20,000 units
+   (a conflict spends before the budget is checked). *)
+let portfolio_rounds_bounded () =
+  let module Generator = Pipesched_synth.Generator in
+  let dag = Dag.of_block (Generator.of_seed 28) in
+  let m = Generator.random_machine (Pipesched_prelude.Rng.create (28 * 7919)) in
+  let lambda = 20_000 in
+  let o =
+    Portfolio.run ~options:{ Optimal.default_options with Optimal.lambda } m dag
+  in
+  Alcotest.(check (option int)) "no proof" None o.Portfolio.proved;
+  Alcotest.(check string) "status" "Curtailed_lambda"
+    (Budget.status_to_string o.Portfolio.status);
+  Alcotest.(check int) "bnb calls" (500 + 2_000 + lambda)
+    o.Portfolio.bnb.Portfolio.calls;
+  Alcotest.(check bool) "within lambda + lambda/3" true
+    (o.Portfolio.bnb.Portfolio.calls <= lambda + (lambda / 3));
+  Alcotest.(check bool) "cp ran every round" true
+    (o.Portfolio.cp.Portfolio.calls >= 31 + 125 + lambda)
+
 (* ------------------------------------------------------------------ *)
 (* Determinism                                                         *)
 
@@ -222,22 +246,22 @@ let deterministic_schedules =
           let b = schedule ~name blk in
           a.Scheduler.best.Omega.order = b.Scheduler.best.Omega.order
           && a.Scheduler.best.Omega.nops = b.Scheduler.best.Omega.nops)
-        [ "bnb"; "cp"; "windowed"; "list" ])
+        [ "bnb"; "cp"; "portfolio"; "list" ])
 
+(* The rounds run on one domain with count budgets, so two runs give
+   equal outcomes in every field: the winner, the witness (order and
+   pipes), the seed, both sides' calls, the status and the proof.  The
+   small lambda makes curtailed runs and cp's rounds occur too. *)
 let portfolio_deterministic_value =
   qtest ~count:60 "the portfolio's proved value does not depend on the race"
     (block_gen ~min_size:1 ~max_size:7 ()) block_print
     (fun blk ->
-      let a = schedule ~name:"portfolio" blk in
-      let b = schedule ~name:"portfolio" blk in
-      match (a.Scheduler.proved, b.Scheduler.proved) with
-      | Some x, Some y ->
-        x = y
-        && a.Scheduler.best.Omega.nops = x
-        && b.Scheduler.best.Omega.nops = y
-      | _ ->
-        (* With the default budget both runs prove or neither does. *)
-        a.Scheduler.proved = b.Scheduler.proved)
+      List.for_all
+        (fun lambda ->
+          let options = { Optimal.default_options with Optimal.lambda } in
+          let run () = Portfolio.run ~options machine (Dag.of_block blk) in
+          run () = run ())
+        [ Optimal.default_options.Optimal.lambda; 40 ])
 
 let () =
   Alcotest.run "scheduler"
@@ -247,6 +271,9 @@ let () =
         [ outcomes_certify; contract_holds; exact_backends_agree;
           Alcotest.test_case "each exact backend is needed" `Quick
             each_exact_backend_is_needed ] );
-      ("anytime", [ anytime_under_tiny_lambda; anytime_under_cancellation ]);
+      ( "anytime",
+        [ anytime_under_tiny_lambda; anytime_under_cancellation;
+          Alcotest.test_case "the portfolio's rounds add at most lambda/3"
+            `Quick portfolio_rounds_bounded ] );
       ("determinism", [ deterministic_schedules; portfolio_deterministic_value ])
     ]
