@@ -212,13 +212,13 @@ type search_env = {
      operations contribute nothing, keeping the bound admissible for the
      multi-pipe search too). *)
   forced_pipe : int array;
-  (* Dominance memoization: the encoding, the scratch row of the node
-     being looked up, and the transposition table itself, created once
-     the search has done [memo_activation] Omega calls (at call
-     [activate_at]; [max_int] once created or when the memo is off), so
-     tiny searches never pay the allocation. *)
+  (* Dominance memoization: the encoding, and the scratch row of the
+     node being looked up and the transposition table itself, both
+     created once the search has done [memo_activation] Omega calls (at
+     call [activate_at]; [max_int] once created or when the memo is off),
+     so tiny searches never pay the allocation. *)
   fp : Fingerprint.t;
-  row : int array;
+  mutable row : int array;
   mutable memo_tbl : Memo_table.t option;
   mutable activate_at : int;
   mutable memo_hits : int;
@@ -233,12 +233,13 @@ type search_env = {
      generation-stamped signature classes already expanded at each node
      (strong equivalence only), and, for an entry point with its own
      candidate expander, the candidate being expanded at each depth and
-     the callback that expands it. *)
+     the callback that expands it (all three allocated by [dfs], and only
+     for such an entry point). *)
   snapshot : int array array;
   sig_seen : int array array;
   mutable sig_gen : int;
-  cb_rank : int array;
-  cb_pos : int array;
+  mutable cb_rank : int array;
+  mutable cb_pos : int array;
   mutable cbs : (unit -> unit) array;
   (* The budget: lambda alone is checked inline; [budget] is [Some] only
      when a deadline or a cancellation token is set. *)
@@ -253,9 +254,9 @@ type search_env = {
 (* [multi]: the search may choose among candidate pipelines, so only
    single-candidate operations may be charged to a pipe in the resource
    bound; the single-pipe search pins every operation to its default.
-   [prio] is the seed heuristic's priorities, computed once per search
-   for both the seed and the candidate order. *)
-let make_env ?entry ~multi machine dag options ~prio =
+   [cand_order] is the seed heuristic's rank order, computed once per
+   search for both the seed and the candidate order. *)
+let make_env ?entry ~multi machine dag options ~cand_order =
   let n = Dag.length dag in
   let blk = Dag.block dag in
   let st = Omega.State.create ?entry machine dag in
@@ -287,9 +288,23 @@ let make_env ?entry ~multi machine dag options ~prio =
   in
   let preds = st.Omega.State.preds and succs = st.Omega.State.succs in
   let default_pipe = st.Omega.State.default_pipe in
-  let cand_order = List_sched.order_of_priorities prio in
+  (* Plain loops from here on: a search that stops after a few Omega
+     calls is mostly this setup.  Member [i] of the ready and scheduled
+     sets is bit [i mod bits_per_word] of word [i / bits_per_word],
+     counted up without a division. *)
   let rank = Array.make n 0 in
-  Array.iteri (fun r pos -> rank.(pos) <- r) cand_order;
+  let word_of = Array.make n 0 and mask_of = Array.make n 0 in
+  let w = ref 0 and b = ref 0 in
+  for i = 0 to n - 1 do
+    rank.(cand_order.(i)) <- i;
+    word_of.(i) <- !w;
+    mask_of.(i) <- 1 lsl !b;
+    incr b;
+    if !b = Bitset.bits_per_word then begin
+      b := 0;
+      incr w
+    end
+  done;
   (* Intern the strong-equivalence signatures — (pipe, preds, succs) —
      to dense ints once at construction (polymorphic hashing is fine
      here, off the search hot path), so the per-node check probes an int
@@ -315,13 +330,25 @@ let make_env ?entry ~multi machine dag options ~prio =
   in
   let ready = Bitset.create (max n 1) in
   let ready_words = Bitset.raw_words ready in
-  let word_of = Array.init n (fun i -> i / Bitset.bits_per_word) in
-  let mask_of = Array.init n (fun i -> 1 lsl (i mod Bitset.bits_per_word)) in
+  (* [5c] needs the successor-free refinement: two resource-free,
+     predecessor-free instructions are only interchangeable in every
+     completion when neither constrains anything downstream.  Without
+     it the pruning can discard all optimal schedules (see the
+     counterexample in test_core.ml). *)
+  let is_free = Array.make n false in
   for pos = 0 to n - 1 do
     if Array.length preds.(pos) = 0 then begin
       let r = rank.(pos) in
-      ready_words.(word_of.(r)) <- ready_words.(word_of.(r)) lor mask_of.(r)
+      ready_words.(word_of.(r)) <- ready_words.(word_of.(r)) lor mask_of.(r);
+      is_free.(pos) <-
+        default_pipe.(pos) = -1 && Array.length succs.(pos) = 0
     end
+  done;
+  (* Row [d] holds the ready set of a node at depth [d]: at most the
+     [n - d] unscheduled positions.  No node opens at depth [n]. *)
+  let snapshot = Array.make (n + 1) [||] in
+  for d = 0 to n - 1 do
+    snapshot.(d) <- Array.make (n - d) 0
   done;
   let sched_set = Bitset.create (max n 1) in
   let fp = Fingerprint.create machine dag in
@@ -338,22 +365,13 @@ let make_env ?entry ~multi machine dag options ~prio =
     sched_words = Bitset.raw_words sched_set;
     word_of;
     mask_of;
-    (* [5c] needs the successor-free refinement: two resource-free,
-       predecessor-free instructions are only interchangeable in every
-       completion when neither constrains anything downstream.  Without
-       it the pruning can discard all optimal schedules (see the
-       counterexample in test_core.ml). *)
-    is_free =
-      Array.init n (fun pos ->
-          default_pipe.(pos) = -1
-          && Array.length preds.(pos) = 0
-          && Array.length succs.(pos) = 0);
+    is_free;
     signature;
     min_lat;
     tail;
     forced_pipe;
     fp;
-    row = Array.make (Fingerprint.width fp) 0;
+    row = [||];
     memo_tbl = None;
     activate_at =
       (if options.memo.memo_enabled && n > 1 then
@@ -366,14 +384,14 @@ let make_env ?entry ~multi machine dag options ~prio =
       (if critical then Array.make (max (Machine.pipe_count machine) 1) 0
        else [||]);
     cp_bound = Array.make (n + 1) 0;
-    snapshot = Array.make_matrix (n + 1) (max n 1) 0;
+    snapshot;
     sig_seen =
       (if options.strong_equivalence then
          Array.make_matrix (n + 1) (max nsigs 1) 0
        else [||]);
     sig_gen = 0;
-    cb_rank = Array.make (n + 1) 0;
-    cb_pos = Array.make (n + 1) 0;
+    cb_rank = [||];
+    cb_pos = [||];
     cbs = [||];
     lambda = options.lambda;
     budget =
@@ -532,6 +550,7 @@ let memo_cut env =
 
 let activate_memo env =
   env.activate_at <- max_int;
+  env.row <- Array.make (Fingerprint.width env.fp) 0;
   (* Start tiny and let the table double as entries land: searches
      that activate the memo but stay small (the common case under
      modest lambdas) never pay the full-capacity allocate-and-zero
@@ -541,7 +560,7 @@ let activate_memo env =
       (Memo_table.create_growing ~initial:64
          ~capacity:env.options.memo.memo_capacity
          ~key_words:(Array.length env.sched_words)
-         ~value_words:(Array.length env.row))
+         ~value_words:(Fingerprint.width env.fp))
 
 (* One Omega call: check the budget, raising [Curtailed] once any limit
    trips — the search then unwinds and reports the incumbent.  The check
@@ -669,6 +688,8 @@ let dfs env ~push ~on_complete =
   (match push with
    | None -> ()
    | Some _ ->
+     env.cb_rank <- Array.make (env.n + 1) 0;
+     env.cb_pos <- Array.make (env.n + 1) 0;
      env.cbs <-
        Array.init (env.n + 1) (fun d () ->
            expand env ~push ~on_complete d env.cb_rank.(d) env.cb_pos.(d)));
@@ -737,12 +758,13 @@ let search ?entry ?(multi = false) ?(bound = max_int) ?(on_best = ignore)
     ?expand ~seeded machine dag options =
   if options.memo.memo_enabled && options.memo.memo_capacity < 1 then
     invalid_arg "Optimal: memo_capacity must be >= 1";
-  let prio = List_sched.priorities options.seed dag in
-  let env = make_env ?entry ~multi machine dag options ~prio in
+  let cand_order =
+    List_sched.rank_order (List_sched.priorities options.seed dag)
+  in
+  let env = make_env ?entry ~multi machine dag options ~cand_order in
   let seed () =
     Omega.State.pop_to env.st 0;
-    Omega.State.evaluate env.st
-      ~order:(List_sched.schedule_by_priorities prio dag)
+    Omega.State.evaluate env.st ~order:(List_sched.walk dag cand_order)
   in
   let initial =
     if seeded then begin

@@ -18,11 +18,14 @@ exception Budget_exhausted
 let schedule ?(options = Optimal.default_options) ?entry ~window machine dag =
   if window < 1 then invalid_arg "Windowed.schedule: window must be >= 1";
   let n = Dag.length dag in
-  (* One setup pass, as in Optimal: the seed heuristic's priorities give
-     both the seed and the candidate order, and the seed is scored on
-     the state the windows then search. *)
-  let prio = List_sched.priorities options.Optimal.seed dag in
-  let seed_order = List_sched.schedule_by_priorities prio dag in
+  (* One setup pass, as in Optimal: the seed heuristic's rank order is
+     both the candidate order within windows and the order the seed
+     walks, and the seed is scored on the state the windows then
+     search. *)
+  let cand_order =
+    List_sched.rank_order (List_sched.priorities options.Optimal.seed dag)
+  in
+  let seed_order = List_sched.walk dag cand_order in
   let st = Omega.State.create ?entry machine dag in
   let initial = Omega.State.evaluate st ~order:seed_order in
   let budget =
@@ -52,8 +55,6 @@ let schedule ?(options = Optimal.default_options) ?entry ~window machine dag =
      | None -> ());
     spend_push pos
   in
-  (* Candidate iteration order within windows: list priority. *)
-  let cand_order = List_sched.order_of_priorities prio in
   let window_count = (n + window - 1) / window in
   let chunk_of = Array.make n 0 in
   Array.iteri (fun k pos -> chunk_of.(pos) <- k / window) seed_order;

@@ -140,6 +140,8 @@ let preds d i = Array.to_list d.preds.(i)
 let succs d i = Array.to_list d.succs.(i)
 let preds_arr d i = d.preds.(i)
 let succs_arr d i = d.succs.(i)
+let pred_table d = d.preds
+let succ_table d = d.succs
 let pred_kinds d i = d.pred_kinds.(i)
 let succ_kinds d i = d.succ_kinds.(i)
 

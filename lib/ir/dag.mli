@@ -7,6 +7,13 @@
     - {b memory flow}: a [Load x] after a [Store x];
     - {b memory anti/output}: a [Store x] after a [Load x] / [Store x].
 
+    Every edge runs forward in block order: [u -> v] only for [u < v].
+    A data edge comes from a [Ref], which {!Block.of_tuples} accepts only
+    to an earlier tuple, and a memory edge from an earlier access to the
+    same variable; {!of_block} is the only constructor.  So block order
+    is a topological order, and a walk that emits ready positions one at
+    a time (the list scheduler, the search) always finds one.
+
     All edge classes constrain scheduling identically in the paper's model
     (the consumer must wait for the producer's pipeline latency); the class
     is recorded, in arrays aligned with the adjacency arrays, for
@@ -46,6 +53,14 @@ val preds_arr : t -> int -> int array
 (** Flattened adjacency: the successors of a position as a sorted
     array.  Do not mutate. *)
 val succs_arr : t -> int -> int array
+
+(** Every position's {!preds_arr} in one array, by position: the
+    DAG's own storage, O(1), no allocation.  Do not mutate. *)
+val pred_table : t -> int array array
+
+(** Every position's {!succs_arr} in one array, by position.  Do not
+    mutate. *)
+val succ_table : t -> int array array
 
 (** Edge kinds aligned with {!preds_arr}: [(pred_kinds d v).(i)] is the
     kind of the edge [(preds_arr d v).(i) -> v].  O(1), no allocation.

@@ -41,28 +41,39 @@ module State = struct
     mutable total_nops : int;
   }
 
+  (* Plain loops and the DAG's own adjacency: this runs once per search,
+     and a search that stops after a few Omega calls is mostly setup. *)
   let create ?entry machine dag =
     let n = Dag.length dag in
     let blk = Dag.block dag in
     let npipes = Machine.pipe_count machine in
-    let preds = Array.init n (Dag.preds_arr dag) in
+    let preds = Dag.pred_table dag in
+    let default_pipe = Array.make n (-1) and unsched_preds = Array.make n 0 in
+    for i = 0 to n - 1 do
+      default_pipe.(i) <-
+        Machine.default_pipe_id machine (Block.tuple_at blk i).Tuple.op;
+      unsched_preds.(i) <- Array.length preds.(i)
+    done;
+    let pipe_latency = Array.make npipes 0 in
+    let pipe_enqueue = Array.make npipes 0 in
+    for p = 0 to npipes - 1 do
+      let pipe = Machine.pipe machine p in
+      pipe_latency.(p) <- pipe.Pipe.latency;
+      pipe_enqueue.(p) <- pipe.Pipe.enqueue
+    done;
     {
       machine;
       dag;
       n;
       preds;
-      succs = Array.init n (Dag.succs_arr dag);
-      default_pipe =
-        Array.init n (fun i ->
-            Machine.default_pipe_id machine (Block.tuple_at blk i).Tuple.op);
-      pipe_latency =
-        Array.init npipes (fun p -> (Machine.pipe machine p).Pipe.latency);
-      pipe_enqueue =
-        Array.init npipes (fun p -> (Machine.pipe machine p).Pipe.enqueue);
+      succs = Dag.succ_table dag;
+      default_pipe;
+      pipe_latency;
+      pipe_enqueue;
       issue = Array.make n 0;
       prod_latency = Array.make n 1;
       scheduled = Array.make n false;
-      unsched_preds = Array.init n (fun i -> Array.length preds.(i));
+      unsched_preds;
       last_on_pipe =
         (match entry with
          | None -> Array.make (max npipes 1) neg_inf
@@ -198,7 +209,10 @@ module State = struct
   let snapshot st =
     let order = prefix st in
     let eta = Array.sub st.eta_stack 0 st.sp in
-    let issue = Array.map (fun pos -> st.issue.(pos)) order in
+    let issue = Array.make st.sp 0 in
+    for k = 0 to st.sp - 1 do
+      issue.(k) <- st.issue.(order.(k))
+    done;
     let pipes = Array.sub st.pipe_stack 0 st.sp in
     { order; eta; issue; pipes; nops = st.total_nops }
 
@@ -231,7 +245,11 @@ module State = struct
     if st.sp <> 0 then invalid_arg "Omega.State.evaluate: schedule not empty";
     if Array.length order <> st.n then
       invalid_arg "Omega.evaluate: order length mismatch";
-    match Array.iter (push st) order with
+    match
+      for k = 0 to st.n - 1 do
+        push st order.(k)
+      done
+    with
     | () ->
       let r = snapshot st in
       pop_to st 0;

@@ -2,7 +2,9 @@
 
     Used for transitive-closure computations over instruction DAGs and for
     the scheduled-set bookkeeping of the search.  All operations are O(1) or
-    O(capacity/63); the representation is a flat [int array] of bit words. *)
+    O(capacity/63); the representation is a flat [int array] of
+    ceil(capacity / 63) bit words (none for capacity 0), so a set over
+    fewer than 64 members is one word. *)
 
 type t
 
@@ -60,6 +62,13 @@ val equal : t -> t -> bool
     of {!raw_words} (the layout {!hash} reads), for callers that update
     the words in place. *)
 val bits_per_word : int
+
+(** [popcount w] is the number of set bits of the word [w]. *)
+val popcount : int -> int
+
+(** [ntz b] is the index of the one set bit of the one-bit word [b]
+    (the lowest member of a word [w] is [ntz (w land (- w))]). *)
+val ntz : int -> int
 
 (** The backing word array, shared with the set: a write to it is a
     write to the set.  Allocation-free access for callers that key hash

@@ -9,122 +9,118 @@ type heuristic =
   | Source_order
   | Random_order of int
 
-(* Transitive descendant counts: one backward pass of bitset unions,
-   since block order is a topological order. *)
-let descendant_counts dag =
+(* The word width of the private bit rows below: a literal, so that
+   dividing by it compiles to a multiply (the dev profile builds with
+   -opaque, which hides [Bitset.bits_per_word]'s value). *)
+let bits = 63
+
+(* Primary key: height (the heaviest dependence chain below, each edge
+   [u -> v] weighing [weight u]); secondary: the number of transitive
+   descendants.  Packed into one int.  Both come from one backward pass,
+   since block order is a topological order: each node's descendant set
+   is a row of [words] bit words in one flat array, the union of its
+   successors' rows and the successors themselves. *)
+let by_height dag weight =
   let n = Dag.length dag in
-  let desc = Array.init n (fun _ -> Bitset.create n) in
+  let words = (n + bits - 1) / bits in
+  let desc = Array.make (n * words) 0 in
+  let height = Array.make n 0 in
+  let prio = Array.make n 0 in
   for u = n - 1 downto 0 do
-    Array.iter
-      (fun v ->
-        Bitset.add desc.(u) v;
-        Bitset.union_into ~into:desc.(u) desc.(v))
-      (Dag.succs_arr dag u)
+    let succs = Dag.succs_arr dag u in
+    let row = u * words in
+    let w = weight u in
+    for i = 0 to Array.length succs - 1 do
+      let v = succs.(i) in
+      if w + height.(v) > height.(u) then height.(u) <- w + height.(v);
+      let cell = row + (v / bits) in
+      desc.(cell) <- desc.(cell) lor (1 lsl (v mod bits));
+      let vrow = v * words in
+      for j = 0 to words - 1 do
+        desc.(row + j) <- desc.(row + j) lor desc.(vrow + j)
+      done
+    done;
+    let count = ref 0 in
+    for j = 0 to words - 1 do
+      count := !count + Bitset.popcount desc.(row + j)
+    done;
+    prio.(u) <- (height.(u) * (n + 1)) + !count
   done;
-  Array.map Bitset.cardinal desc
+  prio
 
 let priorities heuristic dag =
   let n = Dag.length dag in
-  (* Primary key: height (longest dependence chain below, per edge
-     weight); secondary: number of transitive descendants.  Packed into
-     one int. *)
-  let by_height edge_weight =
-    let h = Dag.heights dag ~edge_weight in
-    let desc = descendant_counts dag in
-    Array.init n (fun i -> (h.(i) * (n + 1)) + desc.(i))
-  in
   match heuristic with
-  | Max_distance -> by_height (fun ~src:_ ~dst:_ -> 1)
+  | Max_distance -> by_height dag (fun _ -> 1)
   | Latency_weighted machine ->
     let blk = Dag.block dag in
-    let lat pos = Machine.latency machine (Block.tuple_at blk pos).Tuple.op in
-    by_height (fun ~src ~dst:_ -> lat src)
+    by_height dag (fun u ->
+        Machine.latency machine (Block.tuple_at blk u).Tuple.op)
   | Source_order -> Array.init n (fun i -> n - i)
   | Random_order seed ->
     let rng = Rng.create seed in
     Array.init n (fun _ -> Rng.bits rng)
 
-let schedule_by_priorities prio dag =
-  let n = Dag.length dag in
-  let unsched_preds =
-    Array.init n (fun i -> Array.length (Dag.preds_arr dag i))
-  in
-  let emitted = Array.make n false in
+(* Insertion sort of the positions in block order: each one goes after
+   every position already placed whose priority is at least its own, so
+   ties keep block order.  The order is total, so this is the one
+   permutation any correct sort by (descending priority, position)
+   returns.  Allocation-free but for the result. *)
+let rank_order prio =
+  let n = Array.length prio in
   let order = Array.make n 0 in
-  for k = 0 to n - 1 do
-    (* Pick the ready position with the greatest priority; ties go to the
-       smallest original position. *)
-    let best = ref (-1) in
-    for i = n - 1 downto 0 do
-      if (not emitted.(i)) && unsched_preds.(i) = 0
-         && (!best = -1 || prio.(i) >= prio.(!best))
-      then best := i
+  for pos = 0 to n - 1 do
+    let p = prio.(pos) in
+    let j = ref pos in
+    while !j > 0 && prio.(order.(!j - 1)) < p do
+      order.(!j) <- order.(!j - 1);
+      decr j
     done;
-    if !best = -1 then begin
-      (* Unemitted instructions remain but none is ready: every one of
-         them waits on another unemitted one, i.e. the dependence graph
-         has a cycle.  Walk unemitted-predecessor links until a node
-         repeats and report that cycle (by original position and tuple
-         id) so the offending input is identifiable. *)
-      let blk = Dag.block dag in
-      let name i = Printf.sprintf "%d(t%d)" i (Block.tuple_at blk i).Tuple.id in
-      let next i =
-        List.find_opt (fun u -> not emitted.(u)) (Dag.preds dag i)
-      in
-      let start =
-        let s = ref (-1) in
-        for i = n - 1 downto 0 do
-          if (not emitted.(i)) && next i <> None then s := i
-        done;
-        !s
-      in
-      let witness =
-        if start < 0 then "unavailable"
-        else begin
-          let rec chase seen i =
-            if List.mem i seen then
-              (* Drop the walk-in prefix: the cycle is the path from the
-                 first occurrence of [i] back to [i]. *)
-              let rec from_first = function
-                | [] -> []
-                | j :: rest -> if j = i then j :: rest else from_first rest
-              in
-              from_first (List.rev (i :: seen))
-            else
-              match next i with
-              | Some u -> chase (i :: seen) u
-              | None -> List.rev (i :: seen)
-          in
-          String.concat " -> " (List.map name (chase [] start))
-        end
-      in
-      invalid_arg
-        (Printf.sprintf
-           "List_sched.schedule: cyclic DAG — %d of %d instructions \
-            scheduled, no ready candidate; cycle witness: %s"
-           k n witness)
-    end;
-    order.(k) <- !best;
-    emitted.(!best) <- true;
-    let succs = Dag.succs_arr dag !best in
-    for i = 0 to Array.length succs - 1 do
-      unsched_preds.(succs.(i)) <- unsched_preds.(succs.(i)) - 1
-    done
+    order.(!j) <- pos
   done;
   order
 
-let schedule heuristic dag =
-  schedule_by_priorities (priorities heuristic dag) dag
+let add words r =
+  words.(r / bits) <- words.(r / bits) lor (1 lsl (r mod bits))
 
-let order_of_priorities prio =
-  let n = Array.length prio in
-  let idx = Array.init n (fun i -> i) in
-  (* Stable sort by descending priority; equal priorities keep block order. *)
-  let cmp a b =
-    if prio.(a) <> prio.(b) then compare prio.(b) prio.(a) else compare a b
-  in
-  Array.sort cmp idx;
-  idx
+(* The ready set holds ranks, one bit each, so its lowest member is the
+   ready position of greatest priority, the smallest on ties.  A
+   successor can outrank the position that freed it (under
+   [Random_order], say), so each step searches from word 0.  Every edge
+   runs forward in block order (see Dag), so some position is always
+   ready until all are emitted. *)
+let walk dag order =
+  let n = Dag.length dag in
+  let words = (n + bits - 1) / bits in
+  let rank = Array.make n 0 in
+  for r = 0 to n - 1 do
+    rank.(order.(r)) <- r
+  done;
+  let ready = Array.make words 0 in
+  let pending = Array.make n 0 in
+  for pos = 0 to n - 1 do
+    let k = Array.length (Dag.preds_arr dag pos) in
+    pending.(pos) <- k;
+    if k = 0 then add ready rank.(pos)
+  done;
+  let sched = Array.make n 0 in
+  for k = 0 to n - 1 do
+    let w = ref 0 in
+    while ready.(!w) = 0 do
+      incr w
+    done;
+    let x = ready.(!w) in
+    let b = x land (-x) in
+    ready.(!w) <- x lxor b;
+    let pos = order.((!w * bits) + Bitset.ntz b) in
+    sched.(k) <- pos;
+    let succs = Dag.succs_arr dag pos in
+    for i = 0 to Array.length succs - 1 do
+      let s = succs.(i) in
+      pending.(s) <- pending.(s) - 1;
+      if pending.(s) = 0 then add ready rank.(s)
+    done
+  done;
+  sched
 
-let order_by_priority heuristic dag =
-  order_of_priorities (priorities heuristic dag)
+let schedule heuristic dag = walk dag (rank_order (priorities heuristic dag))

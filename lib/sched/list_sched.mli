@@ -26,24 +26,35 @@ type heuristic =
           (ablation: a poor seed for the alpha-beta synergy study) *)
 
 (** [priorities heuristic dag] assigns each position a static priority;
-    greater means schedule earlier. *)
+    greater means schedule earlier.  O(n + edges) for {!Source_order}
+    and {!Random_order}; the height heuristics also union descendant
+    sets, one backward pass over one flat array of ceil(n / 63) words
+    per position, O(edges * n / 63). *)
 val priorities : heuristic -> Dag.t -> int array
 
-(** [schedule heuristic dag] is a legal order (new position -> original
-    position): at each step the ready instruction with the greatest
-    priority is emitted. *)
+(** [rank_order prio] is the rank order: every position, by descending
+    priority ([prio] as {!priorities} returns it), ties in block order
+    (rank [r] -> position).  The order is total, so it is the one any
+    correct sort by (descending priority, position) gives.  It is not
+    necessarily a legal schedule; the search enumerates candidates in
+    it, and {!walk} draws the seed from it.  An insertion sort: O(n^2)
+    comparisons at worst, no allocation but the result. *)
+val rank_order : int array -> int array
+
+(** [walk dag order] is the list schedule over the rank order [order]
+    (new position -> original position): at each step it emits the
+    ready position of lowest rank, that is, of greatest priority, the
+    smallest position on ties.  The ready set is kept as rank bits, so
+    a step is a scan for the lowest set bit and the walk is
+    O(n * ceil(n / 63) + edges), allocating four arrays of at most n
+    words.  Every edge runs forward in block order ({!Dag}), so a ready
+    position exists at every step. *)
+val walk : Dag.t -> int array -> int array
+
+(** [schedule heuristic dag] is
+    [walk dag (rank_order (priorities heuristic dag))], a legal order:
+    at each step the ready instruction with the greatest priority,
+    ties to the smallest position.  A caller that also enumerates
+    candidates in the rank order (the search in [Optimal], and
+    [Windowed]) computes it once for both. *)
 val schedule : heuristic -> Dag.t -> int array
-
-(** [order_by_priority heuristic dag] is all positions sorted by descending
-    priority (not necessarily a legal schedule); the search uses it as its
-    candidate-enumeration order. *)
-val order_by_priority : heuristic -> Dag.t -> int array
-
-(** [schedule_by_priorities prio dag] is {!schedule} with the priorities
-    already computed ([prio] as {!priorities} returns it), so a caller
-    that also needs {!order_of_priorities} computes them once. *)
-val schedule_by_priorities : int array -> Dag.t -> int array
-
-(** [order_of_priorities prio] is {!order_by_priority} from precomputed
-    priorities. *)
-val order_of_priorities : int array -> int array

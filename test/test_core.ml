@@ -410,6 +410,38 @@ let test_omega_call_allocates_nothing () =
   check_entry "schedule_bounded" (fun options ->
       ignore (Optimal.schedule_bounded ~options ~registers:6 machine dag))
 
+(* Arrays of more than 256 words (Max_young_wosize) skip the minor heap
+   and go straight to the major one, which no later minor collection
+   frees.  A search's setup stays under that size for every block of up
+   to 63 instructions (the largest study blocks have about 56): a
+   curtailed lambda = 1 search there allocates nothing directly in the
+   major heap. *)
+let test_setup_stays_in_minor_heap () =
+  let module Generator = Pipesched_synth.Generator in
+  let options = { Optimal.default_options with Optimal.lambda = 1 } in
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let rng = Rng.create 6301 in
+  let blocks =
+    List.init 63 (fun i -> random_block_with rng (i + 1) (1 + (i mod 12)))
+    @ List.init 40 (fun _ -> Generator.block rng (Generator.sample_params rng))
+  in
+  List.iter
+    (fun blk ->
+      let dag = Dag.of_block blk in
+      let n = Dag.length dag in
+      if n <= 63 then begin
+        let before = direct () in
+        ignore (Optimal.schedule ~options machine dag);
+        check (Alcotest.float 0.)
+          (Printf.sprintf "%d instructions: words allocated in the major heap"
+             n)
+          0. (direct () -. before)
+      end)
+    blocks
+
 let test_stats_consistency () =
   let rng = Rng.create 99 in
   let blk = random_block rng 10 in
@@ -1067,7 +1099,9 @@ let () =
           Alcotest.test_case "stats consistency" `Quick
             test_stats_consistency;
           Alcotest.test_case "an Omega call allocates nothing" `Quick
-            test_omega_call_allocates_nothing ] );
+            test_omega_call_allocates_nothing;
+          Alcotest.test_case "setup stays in the minor heap" `Quick
+            test_setup_stays_in_minor_heap ] );
       ( "pruning",
         [ pruning_off_matches_pruning_on; alpha_beta_reduces_calls ] );
       ( "memoization",

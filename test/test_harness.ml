@@ -168,11 +168,7 @@ let test_run_dedup_fanout () =
    one that only renames classes does not. *)
 let study_records_digest = "ead73e38fd717d5441210f8d2a582fe4"
 
-let test_study_records_pinned () =
-  let results =
-    Experiments.run_study ~count:1000 ~lambda:50_000 ~jobs:1 ~certify:true ()
-  in
-  let buf = Buffer.create 65536 in
+let print_records buf results =
   List.iter
     (function
       | Study.Scheduled r ->
@@ -182,8 +178,32 @@ let test_study_records_pinned () =
           (Pipesched_prelude.Budget.status_to_string r.Study.status)
           r.Study.unique
       | Study.Failed f -> Printf.bprintf buf "failed %s\n" f.Study.exn)
-    results;
+    results
+
+let test_study_records_pinned () =
+  let results =
+    Experiments.run_study ~count:1000 ~lambda:50_000 ~jobs:1 ~certify:true ()
+  in
+  let buf = Buffer.create 65536 in
+  print_records buf results;
   check Alcotest.string "digest of the records" study_records_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* The same records over 20,000 study blocks: 40 chunks of 500, chunk
+   [k] drawn from [Schedule.seed_at ~seed:701 k] as perfbench's study
+   workload draws them.  Any change to a search tree (the seed, the
+   candidate order, a prune, the memo's slots) moves this digest. *)
+let study_20k_digest = "92adef3829d98f69919d9f9ee3d3aeeb"
+
+let test_study_20k_records_pinned () =
+  let buf = Buffer.create (1 lsl 20) in
+  for k = 0 to 39 do
+    print_records buf
+      (Experiments.run_study
+         ~seed:(Pipesched_synth.Schedule.seed_at ~seed:701 k)
+         ~count:500 ~lambda:50_000 ~jobs:1 ~certify:true ())
+  done;
+  check Alcotest.string "digest of 20,000 records" study_20k_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let test_aggregate () =
@@ -834,7 +854,9 @@ let () =
           Alcotest.test_case "aggregate" `Quick test_aggregate;
           Alcotest.test_case "by_size" `Quick test_by_size;
           Alcotest.test_case "records pinned" `Quick
-            test_study_records_pinned ] );
+            test_study_records_pinned;
+          Alcotest.test_case "20,000 records pinned" `Quick
+            test_study_20k_records_pinned ] );
       ( "aggregate",
         [ Alcotest.test_case "counter units" `Quick test_agg_counters;
           Alcotest.test_case "render invariants" `Quick

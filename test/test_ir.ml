@@ -728,6 +728,25 @@ let permute_legal_orders =
           | exception Invalid_argument _ -> false)
         (all_legal_orders dag))
 
+(* Every edge runs forward in block order (dag.mli), so block order is a
+   topological order: the list scheduler's walk relies on it. *)
+let edges_run_forward =
+  qtest ~count:300 "every edge runs forward"
+    QCheck2.Gen.(
+      map2
+        (fun seed n ->
+          random_block_with (Rng.create seed) n (1 + (seed mod 12)))
+        (int_bound 1_000_000) (int_range 1 80))
+    block_print
+    (fun blk ->
+      let dag = Dag.of_block blk in
+      let ok = ref true in
+      for v = 0 to Dag.length dag - 1 do
+        Array.iter (fun u -> if u >= v then ok := false) (Dag.preds_arr dag v);
+        Array.iter (fun w -> if w <= v then ok := false) (Dag.succs_arr dag v)
+      done;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Canonical: isomorphism-stable form and hash.                        *)
 
@@ -1003,7 +1022,8 @@ let () =
           Alcotest.test_case "is_legal_order" `Quick test_is_legal_order;
           closure_agrees;
           earliest_latest_bound;
-          permute_legal_orders ] );
+          permute_legal_orders;
+          edges_run_forward ] );
       ( "canonical",
         [ Alcotest.test_case "shapes" `Quick test_canonical_shapes;
           Alcotest.test_case "twin components" `Quick

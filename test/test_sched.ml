@@ -74,12 +74,92 @@ let order_by_priority_sorted =
     (fun blk ->
       let dag = Dag.of_block blk in
       let prio = List_sched.priorities List_sched.Max_distance dag in
-      let idx = List_sched.order_by_priority List_sched.Max_distance dag in
+      let idx = List_sched.rank_order prio in
       let ok = ref true in
       for k = 1 to Array.length idx - 1 do
         if prio.(idx.(k - 1)) < prio.(idx.(k)) then ok := false
       done;
       !ok)
+
+(* The model list scheduler: priorities from [Dag.heights] and one
+   descendant set per position, the candidate order from a
+   closure-compared sort, and a scan of every position at each step of
+   the seed. *)
+let model_priorities heuristic dag =
+  let n = Dag.length dag in
+  let by_height edge_weight =
+    let h = Dag.heights dag ~edge_weight in
+    Array.init n (fun i ->
+        (h.(i) * (n + 1))
+        + Pipesched_prelude.Bitset.cardinal (Dag.descendants dag i))
+  in
+  match heuristic with
+  | List_sched.Max_distance -> by_height (fun ~src:_ ~dst:_ -> 1)
+  | List_sched.Latency_weighted m ->
+    let blk = Dag.block dag in
+    by_height (fun ~src ~dst:_ ->
+        Machine.latency m (Block.tuple_at blk src).Tuple.op)
+  | List_sched.Source_order | List_sched.Random_order _ ->
+    List_sched.priorities heuristic dag
+
+let model_order prio =
+  let idx = Array.init (Array.length prio) (fun i -> i) in
+  Array.sort
+    (fun a b ->
+      if prio.(a) <> prio.(b) then compare prio.(b) prio.(a) else compare a b)
+    idx;
+  idx
+
+let model_schedule prio dag =
+  let n = Dag.length dag in
+  let unsched_preds =
+    Array.init n (fun i -> Array.length (Dag.preds_arr dag i))
+  in
+  let emitted = Array.make n false in
+  let order = Array.make n 0 in
+  for k = 0 to n - 1 do
+    (* The greatest priority; ties to the smallest position. *)
+    let best = ref (-1) in
+    for i = n - 1 downto 0 do
+      if (not emitted.(i)) && unsched_preds.(i) = 0
+         && (!best = -1 || prio.(i) >= prio.(!best))
+      then best := i
+    done;
+    order.(k) <- !best;
+    emitted.(!best) <- true;
+    Array.iter
+      (fun s -> unsched_preds.(s) <- unsched_preds.(s) - 1)
+      (Dag.succs_arr dag !best)
+  done;
+  order
+
+(* Up to 150 instructions, so ready sets and descendant rows span one,
+   two and three words. *)
+let rank_order_matches_model =
+  qtest ~count:300 "rank order and walk match the sort-and-scan model"
+    QCheck2.Gen.(
+      map3
+        (fun seed n rseed ->
+          (random_block_with (Rng.create seed) n (1 + (seed mod 16)), rseed))
+        (int_bound 1_000_000) (int_range 1 150) (int_bound 1_000_000))
+    (fun (blk, rseed) ->
+      Printf.sprintf "Random_order %d on\n%s" rseed (block_print blk))
+    (fun (blk, rseed) ->
+      let dag = Dag.of_block blk in
+      List.for_all
+        (fun h ->
+          let prio = List_sched.priorities h dag in
+          let order = List_sched.rank_order prio in
+          let seed = model_schedule prio dag in
+          prio = model_priorities h dag
+          && order = model_order prio
+          && List_sched.walk dag order = seed
+          && List_sched.schedule h dag = seed)
+        [ List_sched.Max_distance;
+          List_sched.Latency_weighted machine;
+          List_sched.Latency_weighted Machine.Presets.deep;
+          List_sched.Source_order;
+          List_sched.Random_order rseed ])
 
 (* ------------------------------------------------------------------ *)
 (* Baselines                                                           *)
@@ -224,7 +304,8 @@ let () =
             test_priorities_machine_independent;
           Alcotest.test_case "random determinism" `Quick
             test_random_order_deterministic;
-          order_by_priority_sorted ] );
+          order_by_priority_sorted;
+          rank_order_matches_model ] );
       ( "baselines",
         [ Alcotest.test_case "factorial" `Quick test_factorial;
           Alcotest.test_case "count: chain and independent" `Quick
