@@ -158,7 +158,9 @@ module Fingerprint = struct
     done;
     row.(1 + t.npipes) <- !c
 
-  let dominates t rows off row =
+  (* [rows] is annotated: at an unknown Bigarray kind each read would be
+     a C call. *)
+  let dominates t (rows : Memo_table.rows) off row =
     let dense = 1 + t.npipes in
     let ok = ref true in
     let i = ref 0 in
@@ -188,11 +190,10 @@ type search_env = {
   options : options;
   cand_order : int array;
   rank : int array;                (* inverse of cand_order *)
-  (* The ready set (as ranks, so snapshots come out in priority order)
+  (* The ready set (as ranks, so its bits come out in priority order)
      and the scheduled set (by position, the memo's key), updated in
      place through their words: [word_of.(i)] and [mask_of.(i)] place
      member [i]. *)
-  ready : Bitset.t;
   ready_words : int array;
   sched_set : Bitset.t;
   sched_words : int array;
@@ -229,13 +230,11 @@ type search_env = {
   cp_est : int array;
   cp_remaining : int array;
   cp_bound : int array;
-  (* Per-depth DFS scratch: a snapshot buffer for the ready set, the
-     generation-stamped signature classes already expanded at each node
-     (strong equivalence only), and, for an entry point with its own
-     candidate expander, the candidate being expanded at each depth and
-     the callback that expands it (all three allocated by [dfs], and only
-     for such an entry point). *)
-  snapshot : int array array;
+  (* Per-depth DFS scratch: the generation-stamped signature classes
+     already expanded at each node (strong equivalence only), and, for an
+     entry point with its own candidate expander, the candidate being
+     expanded at each depth and the callback that expands it (all three
+     allocated by [dfs], and only for such an entry point). *)
   sig_seen : int array array;
   mutable sig_gen : int;
   mutable cb_rank : int array;
@@ -328,8 +327,7 @@ let make_env ?entry ~multi machine dag options ~cand_order =
       (signature, !nsigs)
     end
   in
-  let ready = Bitset.create (max n 1) in
-  let ready_words = Bitset.raw_words ready in
+  let ready_words = Bitset.raw_words (Bitset.create (max n 1)) in
   (* [5c] needs the successor-free refinement: two resource-free,
      predecessor-free instructions are only interchangeable in every
      completion when neither constrains anything downstream.  Without
@@ -344,12 +342,6 @@ let make_env ?entry ~multi machine dag options ~cand_order =
         default_pipe.(pos) = -1 && Array.length succs.(pos) = 0
     end
   done;
-  (* Row [d] holds the ready set of a node at depth [d]: at most the
-     [n - d] unscheduled positions.  No node opens at depth [n]. *)
-  let snapshot = Array.make (n + 1) [||] in
-  for d = 0 to n - 1 do
-    snapshot.(d) <- Array.make (n - d) 0
-  done;
   let sched_set = Bitset.create (max n 1) in
   let fp = Fingerprint.create machine dag in
   let timed = options.deadline_s <> None || options.cancel <> None in
@@ -359,7 +351,6 @@ let make_env ?entry ~multi machine dag options ~cand_order =
     options;
     cand_order;
     rank;
-    ready;
     ready_words;
     sched_set;
     sched_words = Bitset.raw_words sched_set;
@@ -384,7 +375,6 @@ let make_env ?entry ~multi machine dag options ~cand_order =
       (if critical then Array.make (max (Machine.pipe_count machine) 1) 0
        else [||]);
     cp_bound = Array.make (n + 1) 0;
-    snapshot;
     sig_seen =
       (if options.strong_equivalence then
          Array.make_matrix (n + 1) (max nsigs 1) 0
@@ -521,32 +511,29 @@ let bound_value env ~floor =
    Misses store the current state; on a key match the entry is
    overwritten unconditionally, which is always sound (any stored,
    actually-explored state yields a valid dominance witness). *)
-let memo_cut env =
-  match env.memo_tbl with
-  | None -> false
-  | Some tbl ->
-    let row = env.row in
-    Fingerprint.write env.fp env.st row;
-    let hash = Bitset.hash env.sched_set in
-    let key = env.sched_words in
-    let slot = Memo_table.find tbl ~hash key in
-    if
-      slot >= 0
-      && Fingerprint.dominates env.fp (Memo_table.values tbl)
-           (slot * Fingerprint.width env.fp)
-           row
-    then begin
-      env.memo_hits <- env.memo_hits + 1;
-      true
-    end
-    else begin
-      env.memo_misses <- env.memo_misses + 1;
-      ignore
-        (Memo_table.store tbl ~hash ~depth:env.st.Omega.State.sp ~key
-           ~value:row
-          : bool);
-      false
-    end
+let memo_cut env tbl =
+  let row = env.row in
+  Fingerprint.write env.fp env.st row;
+  let hash = Bitset.hash env.sched_set in
+  let key = env.sched_words in
+  let slot = Memo_table.find tbl ~hash key in
+  if
+    slot >= 0
+    && Fingerprint.dominates env.fp (Memo_table.values tbl)
+         (slot * Fingerprint.width env.fp)
+         row
+  then begin
+    env.memo_hits <- env.memo_hits + 1;
+    true
+  end
+  else begin
+    env.memo_misses <- env.memo_misses + 1;
+    ignore
+      (Memo_table.store tbl ~hash ~depth:env.st.Omega.State.sp ~key
+         ~value:row
+        : bool);
+    false
+  end
 
 let activate_memo env =
   env.activate_at <- max_int;
@@ -597,12 +584,16 @@ let rec go env ~push ~on_complete depth =
       on_complete ()
     end
   end
-  else if depth > 0 && memo_cut env then ()
+  else if
+    depth > 0
+    && (match env.memo_tbl with None -> false | Some tbl -> memo_cut env tbl)
+  then ()
   else begin
-    (* The ready set is restored after each child, so this snapshot is
-       exactly the set of positions a full scan would accept. *)
-    let buf = env.snapshot.(depth) in
-    let count = Bitset.to_buffer env.ready buf in
+    (* Candidates come from the live ready words, lowest rank first: each
+       word is read into [x] when the loop reaches it, and every child
+       restores the ready set before it returns, so a word read after
+       earlier children ran still holds this node's own bits. *)
+    let ready = env.ready_words in
     let equivalence = env.options.equivalence in
     let strong = env.options.strong_equivalence in
     let tried_free = ref false in
@@ -613,29 +604,36 @@ let rec go env ~push ~on_complete depth =
       end
       else 0
     in
-    for i = 0 to count - 1 do
-      let rk = buf.(i) in
-      let pos = env.cand_order.(rk) in
-      let skip =
-        (* [5c]: at most one free candidate per node. *)
-        (equivalence && env.is_free.(pos) && !tried_free)
-        (* Strong equivalence: one candidate per signature class. *)
-        || (strong && env.sig_seen.(depth).(env.signature.(pos)) = node_gen)
-      in
-      if not skip then begin
-        if env.is_free.(pos) then tried_free := true;
-        if strong then env.sig_seen.(depth).(env.signature.(pos)) <- node_gen;
-        match push with
-        | None ->
-          count_call env;
-          Omega.State.push env.st pos;
-          expand env ~push ~on_complete depth rk pos;
-          Omega.State.pop env.st
-        | Some push ->
-          env.cb_rank.(depth) <- rk;
-          env.cb_pos.(depth) <- pos;
-          push pos env.cbs.(depth)
-      end
+    for w = 0 to Array.length ready - 1 do
+      let base = w * Bitset.bits_per_word in
+      let x = ref ready.(w) in
+      while !x <> 0 do
+        let b = !x land (- !x) in
+        x := !x lxor b;
+        let rk = base + Bitset.ntz b in
+        let pos = env.cand_order.(rk) in
+        let skip =
+          (* [5c]: at most one free candidate per node. *)
+          (equivalence && env.is_free.(pos) && !tried_free)
+          (* Strong equivalence: one candidate per signature class. *)
+          || (strong && env.sig_seen.(depth).(env.signature.(pos)) = node_gen)
+        in
+        if not skip then begin
+          if env.is_free.(pos) then tried_free := true;
+          if strong then
+            env.sig_seen.(depth).(env.signature.(pos)) <- node_gen;
+          match push with
+          | None ->
+            count_call env;
+            Omega.State.push env.st pos;
+            expand env ~push ~on_complete depth rk pos;
+            Omega.State.pop env.st
+          | Some push ->
+            env.cb_rank.(depth) <- rk;
+            env.cb_pos.(depth) <- pos;
+            push pos env.cbs.(depth)
+        end
+      done
     done
   end
 

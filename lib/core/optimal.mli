@@ -39,16 +39,16 @@
     Cost: a search's setup is one pass.  It computes the seed
     heuristic's rank order once ({!List_sched.rank_order}), walks it for
     the seed ({!List_sched.walk}) and enumerates candidates in it, builds
-    one {!Omega.State} over the DAG's own adjacency, scores the seed on
-    it, and allocates the DFS's per-depth scratch (row [d] of the ready
-    snapshot holds at most [n - d] positions).  For a block under 64
+    one {!Omega.State} over the DAG's own adjacency, and scores the seed
+    on it.  A node reads its candidates from the live ready words, so no
+    per-depth copy of the ready set exists.  For a block under 64
     instructions no setup array exceeds 256 words, OCaml's
     [Max_young_wosize], so the setup never allocates in the major heap
     directly: larger arrays would skip the minor heap, and the study's
-    peak RSS grows with its major heap (a variant that flattened the
-    snapshot into one [(n + 1) * n] array read study [peak_rss_mb] +19%
-    at unchanged throughput).  After the setup an Omega call allocates
-    nothing but the memo table's growth, in every entry point. *)
+    peak RSS grows with its major heap (one [(n + 1) * n] setup array
+    read study [peak_rss_mb] +19% at unchanged throughput).  After the
+    setup an Omega call allocates nothing but the memo table's growth,
+    in every entry point. *)
 
 open Pipesched_ir
 open Pipesched_machine

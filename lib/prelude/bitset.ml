@@ -25,9 +25,17 @@ let remove s i =
   let w = i / bits_per_word in
   s.words.(w) <- s.words.(w) land lnot (1 lsl (i mod bits_per_word))
 
+(* SWAR over bits 0..61; bit 62, the sign bit, is counted apart: the
+   masks must stay below [max_int], and a word of 62 bits has at most 62
+   set, which the top byte of the final product (bits 56..62) holds. *)
 let popcount x =
-  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-  go 0 x
+  let y = x land max_int in
+  let y = y - ((y lsr 1) land 0x1555_5555_5555_5555) in
+  let y =
+    (y land 0x3333_3333_3333_3333) + ((y lsr 2) land 0x3333_3333_3333_3333)
+  in
+  let y = (y + (y lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  ((y * 0x0101_0101_0101_0101) lsr 56) + (x lsr 62)
 
 let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s.words
 
@@ -58,16 +66,21 @@ let subset s1 s2 =
   done;
   !ok
 
-(* Number of trailing zeros of a one-bit word (binary search). *)
-let ntz b =
-  let n = ref 0 and x = ref b in
-  if !x land 0xFFFFFFFF = 0 then begin n := !n + 32; x := !x lsr 32 end;
-  if !x land 0xFFFF = 0 then begin n := !n + 16; x := !x lsr 16 end;
-  if !x land 0xFF = 0 then begin n := !n + 8; x := !x lsr 8 end;
-  if !x land 0xF = 0 then begin n := !n + 4; x := !x lsr 4 end;
-  if !x land 0x3 = 0 then begin n := !n + 2; x := !x lsr 2 end;
-  if !x land 0x1 = 0 then incr n;
-  !n
+(* Number of trailing zeros of a one-bit word, read from a table at
+   [b mod 67]: 2 is a primitive root mod 67, so the powers [2^0 .. 2^61]
+   leave distinct non-zero remainders.  Bit 62 is [min_int]; masking it
+   with [max_int] sends it to remainder 0.  The table is a string
+   literal, static data that costs nothing at start-up; the four
+   remainders no one-bit word reaches hold 255. *)
+let ntz_table =
+  "\062\000\001\039\002\015\040\023\003\012\016\059\
+   \041\019\024\054\004\255\013\010\017\255\060\028\
+   \042\030\020\051\025\044\055\047\005\032\255\038\
+   \014\022\011\058\018\053\255\009\061\027\029\050\
+   \043\046\031\037\021\057\052\008\026\049\045\036\
+   \056\007\048\035\006\034\033"
+
+let ntz b = Char.code ntz_table.[(b land max_int) mod 67]
 
 let iter f s =
   for w = 0 to Array.length s.words - 1 do
@@ -80,20 +93,6 @@ let iter f s =
     done
   done
 
-let to_buffer s buf =
-  let k = ref 0 in
-  for w = 0 to Array.length s.words - 1 do
-    let x = ref s.words.(w) in
-    let base = w * bits_per_word in
-    while !x <> 0 do
-      let b = !x land (- !x) in
-      buf.(!k) <- base + ntz b;
-      incr k;
-      x := !x lxor b
-    done
-  done;
-  !k
-
 let elements s =
   let acc = ref [] in
   iter (fun i -> acc := i :: !acc) s;
@@ -103,7 +102,11 @@ let clear s = Array.fill s.words 0 (Array.length s.words) 0
 
 let equal s1 s2 =
   same_capacity s1 s2;
-  s1.words = s2.words
+  let eq = ref true in
+  for i = 0 to Array.length s1.words - 1 do
+    if s1.words.(i) <> s2.words.(i) then eq := false
+  done;
+  !eq
 
 let raw_words s = s.words
 

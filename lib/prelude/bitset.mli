@@ -43,12 +43,6 @@ val subset : t -> t -> bool
     Skips empty words, so cost is O(capacity/63 + cardinal). *)
 val iter : (int -> unit) -> t -> unit
 
-(** [to_buffer s buf] writes the members into [buf] in increasing order
-    and returns how many were written.  [buf] must have room for
-    [cardinal s] elements; entries past the returned count are left
-    untouched.  Allocation-free: the search's ready-set snapshot. *)
-val to_buffer : t -> int array -> int
-
 (** Members in increasing order. *)
 val elements : t -> int list
 
@@ -63,11 +57,17 @@ val equal : t -> t -> bool
     the words in place. *)
 val bits_per_word : int
 
-(** [popcount w] is the number of set bits of the word [w]. *)
+(** [popcount w] is the number of set bits of the word [w], bit 62 (the
+    sign bit) included: a branch-free SWAR count, about a dozen integer
+    operations whatever [w] holds. *)
 val popcount : int -> int
 
 (** [ntz b] is the index of the one set bit of the one-bit word [b]
-    (the lowest member of a word [w] is [ntz (w land (- w))]). *)
+    (the lowest member of a word [w] is [ntz (w land (- w))]).  It reads
+    a 67-entry table at [b mod 67]: a mask, a division by a constant
+    (which compiles to a multiply) and a byte load, with no branch but a
+    bounds check.  Bit 62 is [min_int], negative, so it is masked to
+    remainder 0 first.  Unspecified unless [b] has exactly one bit set. *)
 val ntz : int -> int
 
 (** The backing word array, shared with the set: a write to it is a

@@ -102,7 +102,7 @@ let depth_at t slot =
   A.get t.depths slot
 
 (* Copy [words] words from row [src] of [a] to row [dst] of [b]. *)
-let copy_row a src b dst words =
+let copy_row (a : rows) src (b : rows) dst words =
   for i = 0 to words - 1 do
     A.unsafe_set b ((dst * words) + i) (A.unsafe_get a ((src * words) + i))
   done

@@ -60,7 +60,11 @@ val evictions : t -> int
     stay valid until the next [store] or [clear]. *)
 val find : t -> hash:int -> int array -> int
 
-(** The backing store of the value rows. *)
+(** The backing store of the value rows.  A function that reads rows
+    should annotate its parameter with this type: an unannotated
+    Bigarray parameter has an unknown element kind, so every access to
+    it compiles to a C call ([caml_ba_get_1], [caml_ba_set_1]) instead
+    of an inline load or store. *)
 type rows = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** [values t] is the backing store of value rows, shared with the

@@ -65,8 +65,9 @@ let priorities heuristic dag =
    every position already placed whose priority is at least its own, so
    ties keep block order.  The order is total, so this is the one
    permutation any correct sort by (descending priority, position)
-   returns.  Allocation-free but for the result. *)
-let rank_order prio =
+   returns.  Allocation-free but for the result.  [prio] is annotated so
+   that the comparison compiles inline, not to a polymorphic C call. *)
+let rank_order (prio : int array) =
   let n = Array.length prio in
   let order = Array.make n 0 in
   for pos = 0 to n - 1 do

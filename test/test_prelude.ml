@@ -108,6 +108,29 @@ let test_hash_raw_words () =
   check bool_t "raw_words aliases the set" true (w == Bitset.raw_words a);
   check bool_t "word updated" true (w.(0) land (1 lsl 7) <> 0)
 
+(* Bit 62 is the sign bit: [1 lsl 62] is [min_int]. *)
+let test_ntz_one_bit_words () =
+  for k = 0 to 62 do
+    check int_t (Printf.sprintf "ntz (1 lsl %d)" k) k (Bitset.ntz (1 lsl k))
+  done
+
+let test_popcount_words () =
+  let rec clearing acc x =
+    if x = 0 then acc else clearing (acc + 1) (x land (x - 1))
+  in
+  let rng = Rng.create 62 in
+  let random _ =
+    (* Dense and sparse words, half of them with the sign bit set. *)
+    let w = Rng.bits rng in
+    let w = if Rng.bool rng then w land Rng.bits rng else w in
+    if Rng.bool rng then w lor min_int else w
+  in
+  List.iter
+    (fun w -> check int_t (Printf.sprintf "popcount %x" w) (clearing 0 w)
+        (Bitset.popcount w))
+    ([ 0; 1; -1; min_int; max_int; min_int + 1; 1 lsl 61 ]
+     @ List.init 10_000 random)
+
 (* ------------------------------------------------------------------ *)
 (* Memo_table                                                          *)
 
@@ -856,7 +879,11 @@ let () =
             test_capacity_mismatch;
           Alcotest.test_case "hash and raw_words" `Quick
             test_hash_raw_words;
-          bitset_model ] );
+          bitset_model;
+          Alcotest.test_case "ntz of every one-bit word" `Quick
+            test_ntz_one_bit_words;
+          Alcotest.test_case "popcount against bit clearing" `Quick
+            test_popcount_words ] );
       ( "memo_table",
         [ Alcotest.test_case "insert/lookup/overwrite" `Quick
             test_memo_insert_lookup;
