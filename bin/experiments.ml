@@ -4,10 +4,7 @@ module E = Pipesched_harness.Experiments
 module Mega = Pipesched_harness.Mega
 module Aggregate = Pipesched_harness.Aggregate
 
-let sections =
-  [ "machines"; "table1"; "table6"; "table7"; "fig1"; "fig4"; "fig5";
-    "fig6"; "fig7"; "ablation"; "machine-sweep"; "structure-sweep"; "windowed"; "region";
-    "heuristics"; "kernels"; "pressure"; "dynamic"; "portfolio" ]
+let sections = List.map fst (E.sections ())
 
 (* --progress heartbeats: stderr, rate-limited to ~1/s, off by default.
    Both callbacks run on worker domains (study) or the master select
@@ -133,45 +130,11 @@ let run count seed quick lambda deadline_ms block_deadline_ms strong no_memo
            exit 2
          end)
        wanted;
-     let study =
-       lazy
-         (E.run_study ~seed ~count ~lambda ~strong ~memo ?deadline_s
-            ?block_deadline_s ?jobs ~strict ~certify ~backend ?progress ())
+     let printers =
+       E.sections ~seed ~count ~lambda ~strong ~memo ?deadline_s
+         ?block_deadline_s ?jobs ~strict ~certify ~backend ?progress ()
      in
-     List.iter
-       (fun section ->
-         match section with
-         | "machines" -> E.print_machines fmt
-         | "table1" -> E.print_table1 fmt ()
-         | "table6" -> E.print_table6 fmt
-         | "table7" -> E.print_table7 fmt (Lazy.force study)
-         | "fig1" -> E.print_fig1 fmt (Lazy.force study)
-         | "fig4" -> E.print_fig4 fmt (Lazy.force study)
-         | "fig5" -> E.print_fig5 fmt (Lazy.force study)
-         | "fig6" -> E.print_fig6 fmt (Lazy.force study)
-         | "fig7" -> E.print_fig7 fmt (Lazy.force study)
-         | "ablation" ->
-           Pipesched_harness.Ablation.print fmt
-             (Pipesched_harness.Ablation.run ?jobs ~seed:(seed + 1)
-                ~count:(max 200 (count / 8))
-                ~lambda:20_000 Pipesched_machine.Machine.Presets.simulation)
-         | "machine-sweep" ->
-           E.print_machine_sweep ~count:(max 200 (count / 16)) ?jobs fmt
-         | "structure-sweep" ->
-           E.print_structure_sweep ~count:(max 100 (count / 50)) ?jobs fmt
-         | "windowed" -> E.print_windowed_study ~count:(max 50 (count / 100)) fmt
-         | "region" -> E.print_region_study ~count:(max 50 (count / 100)) fmt
-         | "heuristics" ->
-           E.print_heuristic_study ~count:(max 200 (count / 8)) fmt
-         | "kernels" -> E.print_kernel_study fmt
-         | "pressure" ->
-           E.print_pressure_study ~count:(max 150 (count / 20)) fmt
-         | "dynamic" -> E.print_dynamic_study ~count:(max 40 (count / 150)) fmt
-         | "portfolio" ->
-           E.print_portfolio_study ~seed:(seed + 2)
-             ~count:(max 40 (count / 200)) fmt
-         | _ -> assert false)
-       wanted);
+     List.iter (fun section -> (List.assoc section printers) fmt) wanted);
   if progress <> None then prerr_newline ();
   0
   end

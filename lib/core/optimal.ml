@@ -16,7 +16,6 @@ type memo_options = {
 type options = {
   lambda : int;
   deadline_s : float option;
-  cancel : Budget.token option;
   seed : List_sched.heuristic;
   equivalence : bool;
   strong_equivalence : bool;
@@ -32,7 +31,6 @@ let default_options =
   {
     lambda = 100_000;
     deadline_s = None;
-    cancel = None;
     seed = List_sched.Max_distance;
     equivalence = true;
     strong_equivalence = false;
@@ -47,7 +45,6 @@ type stats = {
   improvements : int;
   completed : bool;
   status : Budget.status;
-  elapsed_s : float;
   memo_hits : int;
   memo_misses : int;
   memo_entries : int;
@@ -55,8 +52,6 @@ type stats = {
 }
 
 type outcome = { best : Omega.result; initial : Omega.result; stats : stats }
-
-exception Curtailed
 
 (* The dominance memo's state encoding and its test, kept together.
 
@@ -240,11 +235,11 @@ type search_env = {
   mutable cb_rank : int array;
   mutable cb_pos : int array;
   mutable cbs : (unit -> unit) array;
-  (* The budget: lambda alone is checked inline; [budget] is [Some] only
-     when a deadline or a cancellation token is set. *)
-  lambda : int;
-  budget : Budget.t option;
+  (* [omega_calls] counts the Omega calls; [budget] is consulted when it
+     reaches [next_check] (0: at the first call). *)
+  budget : Budget.t;
   mutable omega_calls : int;
+  mutable next_check : int;
   mutable schedules_completed : int;
   mutable improvements : int;
   mutable best_nops : int;
@@ -344,7 +339,6 @@ let make_env ?entry ~multi machine dag options ~cand_order =
   done;
   let sched_set = Bitset.create (max n 1) in
   let fp = Fingerprint.create machine dag in
-  let timed = options.deadline_s <> None || options.cancel <> None in
   {
     n;
     st;
@@ -383,18 +377,10 @@ let make_env ?entry ~multi machine dag options ~cand_order =
     cb_rank = [||];
     cb_pos = [||];
     cbs = [||];
-    lambda = options.lambda;
     budget =
-      (if timed then
-         Some
-           (Budget.start
-              {
-                Budget.calls = Some options.lambda;
-                deadline_s = options.deadline_s;
-                cancel = options.cancel;
-              })
-       else None);
+      Budget.start ~lambda:options.lambda ?deadline_s:options.deadline_s ();
     omega_calls = 0;
+    next_check = 0;
     schedules_completed = 0;
     improvements = 0;
     best_nops = max_int;
@@ -549,21 +535,23 @@ let activate_memo env =
          ~key_words:(Array.length env.sched_words)
          ~value_words:(Fingerprint.width env.fp))
 
-(* One Omega call: check the budget, raising [Curtailed] once any limit
-   trips — the search then unwinds and reports the incumbent.  The check
-   precedes the spend, matching the paper's "curtail when Lambda reaches
-   lambda" exactly.  Without a deadline or a token the check is one
-   comparison against lambda. *)
-let count_call env =
-  (match env.budget with
-   | None -> if env.omega_calls >= env.lambda then raise Curtailed
-   | Some budget ->
-     (match Budget.exhausted budget with
-      | Some _ -> raise Curtailed
-      | None -> ());
-     Budget.spend budget);
+let[@inline] spend_call env =
   env.omega_calls <- env.omega_calls + 1;
   if env.omega_calls >= env.activate_at then activate_memo env
+
+(* One Omega call: check the budget, raising [Budget.Exhausted] once a
+   limit trips — the search then unwinds and reports the incumbent.  The
+   check precedes the spend, matching the paper's "curtail when Lambda
+   reaches lambda" exactly.  It is one comparison, inline:
+   [Budget.checkpoint] runs at the first call, at lambda and, with a
+   deadline, every [check_stride] calls.  Both branches end in the
+   spend, so the common one keeps nothing on the stack. *)
+let count_call env =
+  if env.omega_calls < env.next_check then spend_call env
+  else begin
+    env.next_check <- Budget.checkpoint env.budget ~spent:env.omega_calls;
+    spend_call env
+  end
 
 (* The search skeleton.  [go] opens the node at [depth]: a complete
    schedule is compared against the incumbent; otherwise, unless the
@@ -701,33 +689,14 @@ let stats_of env ~completed =
     | None -> (0, 0)
     | Some tbl -> (Memo_table.entries tbl, Memo_table.evictions tbl)
   in
-  let status, elapsed_s =
-    match env.budget with
-    | None ->
-      ((if completed then Budget.Complete else Budget.Curtailed_lambda), 0.0)
-    | Some budget ->
-      ( (if completed then Budget.Complete
-         else
-           (* [expiry] re-evaluates every limit without the strided
-              deadline gate, so the reported reason is the limit that
-              actually tripped (a deadline that passed between strided
-              clock reads is no longer misreported as lambda). *)
-           match Budget.expiry budget with
-           | Some s -> s
-           | None ->
-             (* Unreachable when the search itself stopped us (Curtailed
-                is only raised after a limit trips, which is sticky);
-                kept for unwinds by foreign exceptions. *)
-             Budget.Curtailed_lambda),
-        Budget.elapsed_s budget )
-  in
   {
     omega_calls = env.omega_calls;
     schedules_completed = env.schedules_completed;
     improvements = env.improvements;
     completed;
-    status;
-    elapsed_s;
+    (* [Complete] unless the limit that raised [Budget.Exhausted]
+       recorded itself. *)
+    status = env.budget.Budget.stopped;
     memo_hits = env.memo_hits;
     memo_misses = env.memo_misses;
     memo_entries = entries;
@@ -782,7 +751,7 @@ let search ?entry ?(multi = false) ?(bound = max_int) ?(on_best = ignore)
   let completed =
     match dfs env ~push ~on_complete with
     | () -> true
-    | exception Curtailed -> false
+    | exception Budget.Exhausted -> false
   in
   let proved = if completed then Some env.best_nops else None in
   (initial, !best, stats_of env ~completed, proved)

@@ -48,7 +48,10 @@
     peak RSS grows with its major heap (one [(n + 1) * n] setup array
     read study [peak_rss_mb] +19% at unchanged throughput).  After the
     setup an Omega call allocates nothing but the memo table's growth,
-    in every entry point. *)
+    in every entry point, and checks the budget with one integer
+    comparison, calling into {!Pipesched_prelude.Budget} only at the
+    first call, at lambda and, with a deadline, once every
+    {!Pipesched_prelude.Budget.check_stride} calls. *)
 
 open Pipesched_ir
 open Pipesched_machine
@@ -99,10 +102,6 @@ type options = {
           budgeting — the clock is then never read, so results are
           bit-for-bit deterministic.  On expiry the search returns its
           incumbent with status {!Pipesched_prelude.Budget.Curtailed_deadline}. *)
-  cancel : Pipesched_prelude.Budget.token option;
-      (** shared cancellation token, safe to trip from another domain
-          (extension); on cancellation the search returns its incumbent
-          with status {!Pipesched_prelude.Budget.Cancelled} *)
   seed : List_sched.heuristic;  (** initial-schedule heuristic *)
   equivalence : bool;           (** step [5c] on/off *)
   strong_equivalence : bool;
@@ -114,14 +113,14 @@ type options = {
   memo : memo_options;          (** dominance memoization (extension) *)
 }
 
-(** The paper's configuration: [lambda = 100_000], no deadline, no
-    cancellation token, {!List_sched.Max_distance} seed, equivalence and
+(** The paper's configuration: [lambda = 100_000], no deadline,
+    {!List_sched.Max_distance} seed, equivalence and
     alpha-beta pruning on, [Partial_nops] bound, strong equivalence off,
     {!default_memo} memoization. *)
 val default_options : options
 
-(** Search statistics.  Without a deadline or a cancellation token every
-    field is deterministic. *)
+(** Search statistics.  Without a deadline every field is
+    deterministic. *)
 type stats = {
   omega_calls : int;
       (** incremental NOP insertions performed (the paper's Lambda) *)
@@ -135,12 +134,9 @@ type stats = {
           false: case [2], curtailed — see [status] for which limit *)
   status : Pipesched_prelude.Budget.status;
       (** how the search ended: [Complete] iff [completed]; otherwise
-          which budget limit stopped it (lambda, wall-clock deadline, or
-          cancellation token).  The returned incumbent is a legal
-          schedule in every case. *)
-  elapsed_s : float;
-      (** wall time spent in the search; [0.0] when no deadline was set
-          (the clock is not read at all then, for determinism) *)
+          which budget limit stopped it (lambda or the wall-clock
+          deadline).  The returned incumbent is a legal schedule in
+          every case. *)
   memo_hits : int;
       (** nodes pruned by the dominance cut (subtrees never entered) *)
   memo_misses : int;

@@ -30,14 +30,15 @@ let cp_share = 16
 
 let run ?(options = Optimal.default_options) ?entry machine dag =
   let lambda = options.Optimal.lambda in
-  (* The deadline covers the whole run: its end is read once, and only
-     when one is set; each round gets the time that remains. *)
-  let whole =
-    Budget.start
-      { Budget.unlimited with Budget.deadline_s = options.Optimal.deadline_s }
-  in
-  let remaining () =
-    Option.map (fun d -> d -. Budget.elapsed_s whole) options.Optimal.deadline_s
+  (* The deadline covers the whole run: the clock is read at the start
+     and before each round, and only when a deadline is set; each round
+     gets the time that remains. *)
+  let remaining =
+    match options.Optimal.deadline_s with
+    | None -> fun () -> None
+    | Some d ->
+      let started = Budget.now () in
+      fun () -> Some (d -. (Budget.now () -. started))
   in
   let initial = ref None and bnb_calls = ref 0 and cp_calls = ref 0 in
   (* One side's round below the best schedule so far ([max_int] before
@@ -57,8 +58,8 @@ let run ?(options = Optimal.default_options) ?entry machine dag =
       (o.Optimal.best, o.Optimal.stats.Optimal.status, proved)
     | Cp ->
       let c =
-        Solve_cp.solve ~lambda ?deadline_s ?cancel:options.Optimal.cancel
-          ~seed:options.Optimal.seed ?entry ~bound machine dag
+        Solve_cp.solve ~lambda ?deadline_s ~seed:options.Optimal.seed ?entry
+          ~bound machine dag
       in
       let s = c.Solve_cp.stats in
       cp_calls := !cp_calls + s.Solve_cp.decisions + s.Solve_cp.conflicts;

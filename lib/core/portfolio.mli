@@ -49,8 +49,8 @@ type outcome = {
   proved : int option;         (** the optimum, iff a side proved it *)
   status : Pipesched_prelude.Budget.status;
       (** [Complete] iff [proved]; otherwise the limit that stopped the
-          run: [lambda] after the last round, or the deadline or token
-          that stopped a round *)
+          run: [lambda] after the last round, or the deadline that
+          stopped a round *)
 }
 
 (** Raised when a side's proof is not realized by the best schedule
@@ -60,8 +60,8 @@ exception Disagreement of string
 
 (** [run machine dag] runs the rounds.  [options.lambda] is the last
     round's budget for {e each} side, in its own units;
-    [options.deadline_s] covers the whole run, and [options.cancel]
-    stops whichever round is running. *)
+    [options.deadline_s] covers the whole run: each round gets the time
+    that remains. *)
 val run :
   ?options:Optimal.options ->
   ?entry:Omega.entry ->

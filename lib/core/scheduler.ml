@@ -50,9 +50,8 @@ module Cp : S = struct
   let schedule ?(options = Optimal.default_options) ?entry machine dag =
     let c =
       Solve_cp.solve ~lambda:options.Optimal.lambda
-        ?deadline_s:options.Optimal.deadline_s
-        ?cancel:options.Optimal.cancel ~seed:options.Optimal.seed ?entry
-        machine dag
+        ?deadline_s:options.Optimal.deadline_s ~seed:options.Optimal.seed
+        ?entry machine dag
     in
     let s = c.Solve_cp.stats in
     {

@@ -10,16 +10,15 @@
 
     - [best] and [initial] are legal schedules of the block
       (certify-clean), with [best.nops <= initial.nops];
-    - the backend is {e anytime}: it honors [options.lambda] /
-      [options.deadline_s] / [options.cancel] and still returns a legal
-      incumbent when curtailed, with [status] naming the tripped limit;
+    - the backend is {e anytime}: it honors [options.lambda] and
+      [options.deadline_s] and still returns a legal incumbent when
+      curtailed, with [status] naming the tripped limit;
     - [completed = true] iff [status = Complete] iff [proved = Some _],
       and then [proved = Some best.nops] claims proved optimality
       (exact backends only; heuristic backends always report
       [completed = false] with status [Complete] — they terminate
       naturally but prove nothing);
-    - with no deadline and no cancellation, the reported schedule is
-      deterministic. *)
+    - with no deadline, the reported schedule is deterministic. *)
 
 open Pipesched_ir
 open Pipesched_machine

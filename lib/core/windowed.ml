@@ -29,14 +29,9 @@ let schedule ?(options = Optimal.default_options) ?entry ~window machine dag =
   let st = Omega.State.create ?entry machine dag in
   let initial = Omega.State.evaluate st ~order:seed_order in
   let budget =
-    Budget.start
-      {
-        Budget.calls = Some options.Optimal.lambda;
-        deadline_s = options.Optimal.deadline_s;
-        cancel = options.Optimal.cancel;
-      }
+    Budget.start ~lambda:options.Optimal.lambda
+      ?deadline_s:options.Optimal.deadline_s ()
   in
-  let omega_calls = ref 0 in
   let all_completed = ref true in
   (* Every Omega push is one Omega call and is accounted as such — the
      per-window incumbent evaluation and the committed best order
@@ -46,13 +41,10 @@ let schedule ?(options = Optimal.default_options) ?entry ~window machine dag =
      itself is interruptible. *)
   let spend_push pos =
     Budget.spend budget;
-    incr omega_calls;
     Omega.State.push st pos
   in
   let budget_push pos =
-    (match Budget.exhausted budget with
-     | Some _ -> raise Budget_exhausted
-     | None -> ());
+    if Budget.exhausted budget then raise Budget_exhausted;
     spend_push pos
   in
   let window_count = (n + window - 1) / window in
@@ -119,27 +111,21 @@ let schedule ?(options = Optimal.default_options) ?entry ~window machine dag =
      be Omega calls too, so account for them. *)
   let uncommitted = n - Omega.State.depth st in
   for _ = 1 to uncommitted do
-    Budget.spend budget;
-    incr omega_calls
+    Budget.spend budget
   done;
   let best = Omega.State.complete_greedily st in
   (* Locally-optimal windows are not globally dominant: an improved early
      window can worsen a later window's context.  Never return something
      worse than the seed. *)
   let best = if best.Omega.nops > initial.Omega.nops then initial else best in
-  let status =
-    if !all_completed then Budget.Complete
-    else
-      match Budget.exhausted budget with
-      | Some s -> s
-      | None -> Budget.Curtailed_lambda
-  in
   {
     best;
     initial;
     window;
     window_count;
-    omega_calls = !omega_calls;
+    omega_calls = budget.Budget.spent;
     all_windows_completed = !all_completed;
-    status;
+    (* A window is left incomplete only when [exhausted] tripped, which
+       recorded the limit. *)
+    status = budget.Budget.stopped;
   }

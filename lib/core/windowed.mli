@@ -41,16 +41,16 @@ type outcome = {
           the committed prefix) *)
   status : Pipesched_prelude.Budget.status;
       (** [Complete] iff [all_windows_completed]; otherwise which budget
-          limit (lambda, deadline, cancellation) curtailed the search.
+          limit (lambda or the deadline) curtailed the search.
           The returned schedule is complete and legal in every case. *)
 }
 
 (** [schedule ?options ?entry ~window machine dag] runs the windowed
     search.  [options.lambda] bounds the {e total} Omega calls across all
     windows (every push counted, see [omega_calls]); [options.deadline_s]
-    and [options.cancel] additionally bound it in wall time.  When the
-    budget runs out mid-window, that window and all later ones fall back
-    to their list order — committing each window is mandatory, so the
+    additionally bounds it in wall time.  When the budget runs out
+    mid-window, that window and all later ones fall back to their list
+    order — committing each window is mandatory, so the
     result is always a complete legal schedule and only O(n) pushes
     remain after expiry.  Raises [Invalid_argument] if [window < 1]. *)
 val schedule :

@@ -208,7 +208,6 @@ type t = {
   mutable completed : int;
   mutable curtailed_lambda : int;
   mutable curtailed_deadline : int;
-  mutable cancelled : int;
   mutable dedup_hits : int;
   mutable sum_size : int;
   mutable sum_initial_nops : int;
@@ -231,7 +230,6 @@ let create () =
     completed = 0;
     curtailed_lambda = 0;
     curtailed_deadline = 0;
-    cancelled = 0;
     dedup_hits = 0;
     sum_size = 0;
     sum_initial_nops = 0;
@@ -252,8 +250,7 @@ let add_record t ?(from_cache = false) ~hash (r : Study.record) =
   (match r.Study.status with
   | Budget.Complete -> t.completed <- t.completed + 1
   | Budget.Curtailed_lambda -> t.curtailed_lambda <- t.curtailed_lambda + 1
-  | Budget.Curtailed_deadline -> t.curtailed_deadline <- t.curtailed_deadline + 1
-  | Budget.Cancelled -> t.cancelled <- t.cancelled + 1);
+  | Budget.Curtailed_deadline -> t.curtailed_deadline <- t.curtailed_deadline + 1);
   if from_cache then t.dedup_hits <- t.dedup_hits + 1;
   t.sum_size <- t.sum_size + r.Study.size;
   t.sum_initial_nops <- t.sum_initial_nops + r.Study.initial_nops;
@@ -280,7 +277,6 @@ let merge_into ~dst src =
   dst.completed <- dst.completed + src.completed;
   dst.curtailed_lambda <- dst.curtailed_lambda + src.curtailed_lambda;
   dst.curtailed_deadline <- dst.curtailed_deadline + src.curtailed_deadline;
-  dst.cancelled <- dst.cancelled + src.cancelled;
   dst.dedup_hits <- dst.dedup_hits + src.dedup_hits;
   dst.sum_size <- dst.sum_size + src.sum_size;
   dst.sum_initial_nops <- dst.sum_initial_nops + src.sum_initial_nops;
@@ -316,7 +312,6 @@ let deterministic_json t =
       ("completed", Json.Int t.completed);
       ("curtailed_lambda", Json.Int t.curtailed_lambda);
       ("curtailed_deadline", Json.Int t.curtailed_deadline);
-      ("cancelled", Json.Int t.cancelled);
       ("sum_size", Json.Int t.sum_size);
       ("sum_initial_nops", Json.Int t.sum_initial_nops);
       ("sum_final_nops", Json.Int t.sum_final_nops);
@@ -342,7 +337,6 @@ let to_json t =
       ("completed", Json.Int t.completed);
       ("curtailed_lambda", Json.Int t.curtailed_lambda);
       ("curtailed_deadline", Json.Int t.curtailed_deadline);
-      ("cancelled", Json.Int t.cancelled);
       ("dedup_hits", Json.Int t.dedup_hits);
       ("sum_size", Json.Int t.sum_size);
       ("sum_initial_nops", Json.Int t.sum_initial_nops);
@@ -388,7 +382,6 @@ let of_json j =
   let* completed = int "completed" in
   let* curtailed_lambda = int "curtailed_lambda" in
   let* curtailed_deadline = int "curtailed_deadline" in
-  let* cancelled = int "cancelled" in
   let* dedup_hits = int "dedup_hits" in
   let* sum_size = int "sum_size" in
   let* sum_initial_nops = int "sum_initial_nops" in
@@ -413,7 +406,6 @@ let of_json j =
       completed;
       curtailed_lambda;
       curtailed_deadline;
-      cancelled;
       dedup_hits;
       sum_size;
       sum_initial_nops;
@@ -442,7 +434,6 @@ let pp ?wall_s fmt t =
     (100.0 *. avg t.completed);
   Format.fprintf fmt "curtailed lambda  %d@." t.curtailed_lambda;
   Format.fprintf fmt "curtailed dline   %d@." t.curtailed_deadline;
-  Format.fprintf fmt "cancelled         %d@." t.cancelled;
   Format.fprintf fmt "size min/avg/max  %d / %.1f / %d@." (rendered_min_size t)
     (avg t.sum_size) t.max_size;
   Format.fprintf fmt "avg initial NOPs  %.2f@." (avg t.sum_initial_nops);

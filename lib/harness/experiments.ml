@@ -149,15 +149,15 @@ let print_table7 fmt study =
   in
   row "Avg. Memo Hits (ext)" (ff1 (memo_mean completed))
     (ff1 (memo_mean truncated)) "-" "-";
-  (* Why each truncated run stopped (extension): the lambda call budget,
-     a wall-clock deadline, or a cancellation token.  All zeros in the
-     completed column by construction; with no deadline configured the
-     deadline and cancel counts are zero and the row is deterministic. *)
+  (* Why each truncated run stopped (extension): the lambda call budget
+     or a wall-clock deadline.  All zeros in the completed column by
+     construction; with no deadline configured the deadline count is
+     zero and the row is deterministic. *)
   let curtails (a : Study.aggregate) =
-    Printf.sprintf "%d/%d/%d" a.Study.n_curtailed_lambda
-      a.Study.n_curtailed_deadline a.Study.n_cancelled
+    Printf.sprintf "%d/%d" a.Study.n_curtailed_lambda
+      a.Study.n_curtailed_deadline
   in
-  row "Curtailed lam/ddl/cancel" (curtails c) (curtails t) "-" "-";
+  row "Curtailed lam/ddl" (curtails c) (curtails t) "-" "-";
   (* Fault isolation (extension): blocks whose search raised and were
      contained as Failed results rather than killing the sweep.  Always
      0 unless something is genuinely broken — the row is the evidence
@@ -276,6 +276,12 @@ let omega_cost ?(seed = 15) () =
   done;
   let t1 = Unix.gettimeofday () in
   (t1 -. t0) /. float_of_int reps
+
+let print_omega_cost fmt =
+  Format.fprintf fmt
+    "@.Omega cost (sec per 15-insn schedule evaluation): %.3e (paper: \
+     1.2e-4 Gould NP1, 3e-4 Sun 3/50)@."
+    (omega_cost ())
 
 (* ------------------------------------------------------------------ *)
 (* Extension studies (§5.3, §6 "ongoing work", footnote 1)             *)
@@ -740,40 +746,58 @@ let print_portfolio_study ?(seed = 1990) ?(count = 80) ?(lambda = 50_000)
   (* The line CI greps: the two exact backends agreed on every block. *)
   Format.fprintf fmt "  portfolio disagreements: %d@." !disagreements
 
-let run_all ?(seed = 1990) ?(count = 16_000) ?lambda ?strong ?memo
+(* Every section in the order a full run prints it.  The study behind
+   Table 7 and the figures runs once, when the first of them prints. *)
+let sections ?(seed = 1990) ?(count = 16_000) ?lambda ?strong ?memo
     ?deadline_s ?block_deadline_s ?jobs ?strict ?certify ?backend ?progress
-    fmt =
+    () =
+  let study =
+    lazy
+      (run_study ~seed ~count ?lambda ?strong ?memo ?deadline_s
+         ?block_deadline_s ?jobs ?strict ?certify ?backend ?progress ())
+  in
+  let of_study print fmt = print fmt (Lazy.force study) in
+  [ ("machines", print_machines);
+    ("table6", print_table6);
+    ("table1", fun fmt -> print_table1 fmt ());
+    ("table7", of_study print_table7);
+    ("fig1", of_study print_fig1);
+    ("fig4", of_study print_fig4);
+    ("fig5", of_study print_fig5);
+    ("fig6", of_study print_fig6);
+    ("fig7", of_study print_fig7);
+    ("omega-cost", print_omega_cost);
+    ( "ablation",
+      fun fmt ->
+        Ablation.print fmt
+          (Ablation.run ?jobs ~seed:(seed + 1) ~count:(max 200 (count / 8))
+             ~lambda:20_000 machine) );
+    ( "machine-sweep",
+      fun fmt -> print_machine_sweep ~count:(max 200 (count / 16)) ?jobs fmt );
+    ( "structure-sweep",
+      fun fmt -> print_structure_sweep ~count:(max 100 (count / 50)) ?jobs fmt
+    );
+    ( "windowed",
+      fun fmt -> print_windowed_study ~count:(max 50 (count / 100)) fmt );
+    ("region", fun fmt -> print_region_study ~count:(max 50 (count / 100)) fmt);
+    ( "heuristics",
+      fun fmt -> print_heuristic_study ~count:(max 200 (count / 8)) fmt );
+    ("kernels", print_kernel_study);
+    ( "pressure",
+      fun fmt -> print_pressure_study ~count:(max 150 (count / 20)) fmt );
+    ( "dynamic",
+      fun fmt -> print_dynamic_study ~count:(max 40 (count / 150)) fmt );
+    ( "portfolio",
+      fun fmt ->
+        print_portfolio_study ~seed:(seed + 2) ~count:(max 40 (count / 200)) fmt
+    ) ]
+
+let run_all ?seed ?count ?lambda ?strong ?memo ?deadline_s ?block_deadline_s
+    ?jobs ?strict ?certify ?backend ?progress fmt =
   Format.fprintf fmt
     "Reproduction: Nisar & Dietz, Optimal Code Scheduling for \
      Multiple-Pipeline Processors (1990)@.";
-  print_machines fmt;
-  print_table6 fmt;
-  print_table1 fmt ();
-  let study =
-    run_study ~seed ~count ?lambda ?strong ?memo ?deadline_s
-      ?block_deadline_s ?jobs ?strict ?certify ?backend ?progress ()
-  in
-  print_table7 fmt study;
-  print_fig1 fmt study;
-  print_fig4 fmt study;
-  print_fig5 fmt study;
-  print_fig6 fmt study;
-  print_fig7 fmt study;
-  let c = omega_cost () in
-  Format.fprintf fmt
-    "@.Omega cost (sec per 15-insn schedule evaluation): %.3e (paper: \
-     1.2e-4 Gould NP1, 3e-4 Sun 3/50)@."
-    c;
-  let ablation_count = max 200 (count / 8) in
-  Ablation.print fmt
-    (Ablation.run ?jobs ~seed:(seed + 1) ~count:ablation_count
-       ~lambda:20_000 machine);
-  print_machine_sweep ~count:(max 200 (count / 16)) ?jobs fmt;
-  print_structure_sweep ~count:(max 100 (count / 50)) ?jobs fmt;
-  print_windowed_study ~count:(max 50 (count / 100)) fmt;
-  print_region_study ~count:(max 50 (count / 100)) fmt;
-  print_heuristic_study ~count:(max 200 (count / 8)) fmt;
-  print_kernel_study fmt;
-  print_pressure_study ~count:(max 150 (count / 20)) fmt;
-  print_dynamic_study ~count:(max 40 (count / 150)) fmt;
-  print_portfolio_study ~seed:(seed + 2) ~count:(max 40 (count / 200)) fmt
+  List.iter
+    (fun (_, print) -> print fmt)
+    (sections ?seed ?count ?lambda ?strong ?memo ?deadline_s
+       ?block_deadline_s ?jobs ?strict ?certify ?backend ?progress ())

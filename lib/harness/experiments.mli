@@ -129,11 +129,26 @@ val print_dynamic_study :
 val print_portfolio_study :
   ?seed:int -> ?count:int -> ?lambda:int -> Format.formatter -> unit
 
-(** Run everything in order with the given study size (default 16,000).
-    [jobs] is threaded to the main study, the ablation, and the machine
-    and structure sweeps; [deadline_s] / [block_deadline_s] deadline the
-    main study (see {!run_study}); [backend] selects the main study's
-    scheduler (see {!run_study}). *)
+(** Every section, named, in the order a full run prints it: machines,
+    table6, table1, table7, fig1, fig4-fig7, omega-cost, ablation,
+    machine-sweep, structure-sweep, windowed, region, heuristics,
+    kernels, pressure, dynamic, portfolio.  The options are {!run_all}'s;
+    the main study behind Table 7 and the figures runs once, when the
+    first of those sections prints, and the sizes of the other studies
+    derive from [count]. *)
+val sections :
+  ?seed:int -> ?count:int -> ?lambda:int -> ?strong:bool ->
+  ?memo:Pipesched_core.Optimal.memo_options ->
+  ?deadline_s:float -> ?block_deadline_s:float -> ?jobs:int ->
+  ?strict:bool -> ?certify:bool -> ?backend:string ->
+  ?progress:(int -> unit) -> unit ->
+  (string * (Format.formatter -> unit)) list
+
+(** A title line, then every {!sections} entry in order, with the given
+    study size (default 16,000).  [jobs] is threaded to the main study,
+    the ablation, and the machine and structure sweeps; [deadline_s] /
+    [block_deadline_s] deadline the main study (see {!run_study});
+    [backend] selects the main study's scheduler (see {!run_study}). *)
 val run_all :
   ?seed:int -> ?count:int -> ?lambda:int -> ?strong:bool ->
   ?memo:Pipesched_core.Optimal.memo_options ->

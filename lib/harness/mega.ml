@@ -89,7 +89,6 @@ let status_of_string = function
   | "Complete" -> Some Budget.Complete
   | "Curtailed_lambda" -> Some Budget.Curtailed_lambda
   | "Curtailed_deadline" -> Some Budget.Curtailed_deadline
-  | "Cancelled" -> Some Budget.Cancelled
   | _ -> None
 
 let rss_kb () =

@@ -263,7 +263,6 @@ type aggregate = {
   avg_time_s : float;
   n_curtailed_lambda : int;
   n_curtailed_deadline : int;
-  n_cancelled : int;
 }
 
 let aggregate ~total records =
@@ -283,7 +282,6 @@ let aggregate ~total records =
     avg_time_s = f (fun r -> r.time_s);
     n_curtailed_lambda = count_status Budget.Curtailed_lambda;
     n_curtailed_deadline = count_status Budget.Curtailed_deadline;
-    n_cancelled = count_status Budget.Cancelled;
   }
 
 let by_size records = Stats.group_by (fun r -> r.size) records

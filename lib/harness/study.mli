@@ -18,7 +18,7 @@ type record = {
   completed : bool;         (** search ran to completion (provably optimal) *)
   status : Pipesched_prelude.Budget.status;
       (** [Complete] iff [completed]; otherwise which budget limit
-          (lambda, wall-clock deadline, cancellation) curtailed this
+          (lambda or the wall-clock deadline) curtailed this
           block's search — the record's [final_nops] is then the legal
           incumbent's *)
   time_s : float;           (** wall-clock seconds for the search *)
@@ -120,10 +120,9 @@ val run_dedup :
     [deadline_s] bounds the whole sweep (each block's search receives the
     time remaining as its budget; once the sweep deadline passes,
     remaining blocks return their list-schedule incumbents near
-    instantly), [block_deadline_s] bounds each block's search
-    individually, and the token in [options.cancel] is polled by every
-    search.  Every block always yields a record — curtailed ones are
-    marked by their [status].  When neither deadline is set the clock
+    instantly), and [block_deadline_s] bounds each block's search
+    individually.  Every block always yields a record — curtailed ones
+    are marked by their [status].  When neither deadline is set the clock
     is never consulted and the determinism contract above holds
     bit-for-bit; with a deadline, which blocks get curtailed depends on
     wall time.
@@ -187,7 +186,6 @@ type aggregate = {
   avg_time_s : float;
   n_curtailed_lambda : int;   (** blocks stopped by the lambda budget *)
   n_curtailed_deadline : int; (** blocks stopped by a wall-clock deadline *)
-  n_cancelled : int;          (** blocks stopped by the cancellation token *)
 }
 
 (** [aggregate ~total records] summarizes a sub-population against the

@@ -18,8 +18,8 @@
 
     There is no cancellation: a map runs every item (or stops at the
     first raise).  A sweep that must stop early bounds each item's own
-    work instead — every search polls the cancellation token in its
-    options.
+    work instead — every search takes a lambda and an optional deadline
+    in its options.
 
     The pool is safe under nested use: a call made from inside a worker
     domain runs serially in that worker instead of spawning further

@@ -1,83 +1,73 @@
-(** Combined search budget: the paper's call-count curtail point (lambda)
-    extended with an optional wall-clock deadline and an optional
-    cancellation token shared across OCaml 5 domains.
+(** The search budget: the paper's curtail point lambda, a count of
+    units of work (Omega calls for the branch-and-bound, decisions plus
+    conflicts for cp), extended with an optional wall-clock deadline.
 
-    Budgets make every search {e anytime}: a checker calls {!exhausted}
-    before each unit of work and {!spend} after it; on expiry the search
+    Budgets make every search {e anytime}: the search checks the budget
+    before each unit of work and counts the unit after it; on expiry it
     unwinds and returns its best incumbent together with the {!status}
-    that stopped it.
+    that stopped it.  Lambda is checked before the spend, so it admits
+    exactly lambda units, and it outranks the deadline.
 
     Determinism: when [deadline_s] is [None] the clock is never read —
-    the budget degenerates to a pure integer comparison, so call-bounded
-    runs are reproducible bit-for-bit.  With a deadline set, the clock is
-    consulted only once per {!check_stride} spends (a power-of-two mask
-    test otherwise), bounding the overshoot past the deadline to a few
-    dozen cheap Omega calls. *)
-
-(** Cross-domain cancellation flag (one [Atomic.t] bool): safe to
-    {!cancel} from any domain while searches poll it from workers. *)
-type token
-
-val token : unit -> token
-
-val cancel : token -> unit
-val is_cancelled : token -> bool
+    the budget is a pure integer comparison, so count-bounded runs are
+    reproducible bit-for-bit.  With a deadline set, the clock is read at
+    {!start} and then only at checks made when the units spent are a
+    multiple of {!check_stride}, bounding the overshoot past the deadline
+    to a few dozen units. *)
 
 (** How a search ended.  [Complete] — ran to natural termination (the
-    result is whatever optimality the search proves); the other three are
-    curtailments: the call budget, the wall-clock deadline, or the shared
-    token stopped it first.  In every curtailed case the search still
-    returns a legal incumbent. *)
-type status = Complete | Curtailed_lambda | Curtailed_deadline | Cancelled
+    result is whatever optimality the search proves); the other two are
+    curtailments: the unit count or the wall-clock deadline stopped it
+    first.  A curtailed search still returns a legal incumbent. *)
+type status = Complete | Curtailed_lambda | Curtailed_deadline
 
 (** Exact variant name, e.g. ["Curtailed_deadline"] — stable, grep-able
     spelling used by CLI output and the daemon's JSON responses. *)
 val status_to_string : status -> string
-
-val is_complete : status -> bool
-
-type limits = {
-  calls : int option;       (** max spends (the paper's lambda) *)
-  deadline_s : float option;(** wall-clock seconds from {!start} *)
-  cancel : token option;    (** shared cancellation token *)
-}
-
-(** No limits at all: {!exhausted} is always [None]. *)
-val unlimited : limits
 
 (** Replace the clock used for deadlines (default [Unix.gettimeofday]).
     Call once at startup, before any budget is started — e.g. to install
     a true monotonic clock, or a test's fake clock. *)
 val set_clock : (unit -> float) -> unit
 
-(** Spends between deadline re-checks (a power of two). *)
+(** The clock's current reading. *)
+val now : unit -> float
+
+(** Units between deadline checks (a power of two). *)
 val check_stride : int
 
-type t
+(** Read-only outside this module. *)
+type t = private {
+  lambda : int;             (** the unit count that stops the search *)
+  deadline : float option;  (** absolute clock reading, if any *)
+  mutable spent : int;      (** units spent so far *)
+  mutable stopped : status;
+      (** [Complete] until a limit trips, then the limit — sticky *)
+}
 
-(** [start limits] begins a budget.  Reads the clock iff a deadline is
-    set. *)
-val start : limits -> t
+(** [start ~lambda ?deadline_s ()] begins a budget of [lambda] units and,
+    when given, [deadline_s] seconds from now.  Reads the clock iff a
+    deadline is set. *)
+val start : lambda:int -> ?deadline_s:float -> unit -> t
 
-(** Record one unit of work (one Omega call). *)
+(** Count one unit of work. *)
 val spend : t -> unit
 
-(** Units spent so far. *)
-val spent : t -> int
+(** [exhausted t] — checked before each unit: [true] once a limit has
+    tripped, recording it in [t.stopped].  Lambda is tested first; then,
+    when a deadline is set and [t.spent] is a multiple of
+    {!check_stride}, the clock.  Sticky: after the first [true] it stays
+    [true] without reading the clock. *)
+val exhausted : t -> bool
 
-(** [exhausted t] is [Some reason] once any limit has tripped — sticky:
-    after the first [Some] the same reason is returned forever without
-    re-reading clock or token.  Checked in the order: cancellation, call
-    count, deadline.  Never returns [Some Complete]. *)
-val exhausted : t -> status option
+(** Raised by {!checkpoint}. *)
+exception Exhausted
 
-(** [expiry t] — which limit has actually tripped, for post-hoc status
-    reporting.  Identical to {!exhausted} except that the strided
-    deadline gate is bypassed: a deadline that passed between two
-    strided clock reads is reported as [Curtailed_deadline] instead of
-    [None].  Sticky, and reads the clock only when a deadline is set. *)
-val expiry : t -> status option
-
-(** Wall time since {!start}; [0.0] when no deadline is set (the clock is
-    not read in that case, preserving determinism). *)
-val elapsed_s : t -> float
+(** [checkpoint t ~spent] serves a search that keeps its own count:
+    it records [spent], raises {!Exhausted} when {!exhausted} trips, and
+    otherwise returns the count at which the search must call it again
+    — lambda when no deadline is set, else the next stride multiple
+    (or lambda).  Called first at 0 and then only at the counts it
+    returns, it agrees with calling {!exhausted} before every unit,
+    while the search pays one integer comparison per unit. *)
+val checkpoint : t -> spent:int -> int

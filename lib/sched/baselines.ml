@@ -1,20 +1,16 @@
 open Pipesched_ir
 open Pipesched_machine
-module Budget = Pipesched_prelude.Budget
 
 let factorial_float n =
   let rec go acc k = if k <= 1 then acc else go (acc *. float_of_int k) (k - 1) in
   go 1.0 n
 
 exception Cutoff_hit
-exception Budget_hit
 
-let count_legal_schedules ?(cutoff = 10_000_000) ?(limits = Budget.unlimited)
-    dag =
+let count_legal_schedules ?(cutoff = 10_000_000) dag =
   let n = Dag.length dag in
   let unsched_preds = Array.init n (fun i -> List.length (Dag.preds dag i)) in
   let emitted = Array.make n false in
-  let budget = Budget.start limits in
   let count = ref 0 in
   let rec go depth =
     if depth = n then begin
@@ -24,13 +20,6 @@ let count_legal_schedules ?(cutoff = 10_000_000) ?(limits = Budget.unlimited)
     else
       for i = 0 to n - 1 do
         if (not emitted.(i)) && unsched_preds.(i) = 0 then begin
-          (* One node expansion is the unit of work bounded by [limits]
-             (this counter never touches Omega, so there is no Omega call
-             to charge). *)
-          (match Budget.exhausted budget with
-           | Some _ -> raise Budget_hit
-           | None -> ());
-          Budget.spend budget;
           emitted.(i) <- true;
           List.iter
             (fun v -> unsched_preds.(v) <- unsched_preds.(v) - 1)
@@ -46,20 +35,16 @@ let count_legal_schedules ?(cutoff = 10_000_000) ?(limits = Budget.unlimited)
   match go 0 with
   | () -> `Exact !count
   | exception Cutoff_hit -> `At_least cutoff
-  | exception Budget_hit -> `At_least !count
 
 type search_result = {
   best : Omega.result;
   schedules_tried : int;
   complete : bool;
-  status : Budget.status;
 }
 
-let legal_only_search ?(cutoff = 10_000_000) ?(limits = Budget.unlimited)
-    machine dag =
+let legal_only_search ?(cutoff = 10_000_000) machine dag =
   let n = Dag.length dag in
   let st = Omega.State.create machine dag in
-  let budget = Budget.start limits in
   let tried = ref 0 in
   let best = ref None in
   let rec go depth =
@@ -74,39 +59,18 @@ let legal_only_search ?(cutoff = 10_000_000) ?(limits = Budget.unlimited)
     else
       for i = 0 to n - 1 do
         if Omega.State.is_ready st i then begin
-          (* Each Omega push is one unit of budgeted work, checked before
-             it is spent — on expiry the best incumbent so far is
-             returned (anytime behavior). *)
-          (match Budget.exhausted budget with
-           | Some _ -> raise Budget_hit
-           | None -> ());
-          Budget.spend budget;
           Omega.State.push st i;
           go (depth + 1);
           Omega.State.pop st
         end
       done
   in
-  let complete, status =
-    match go 0 with
-    | () -> (true, Budget.Complete)
-    | exception Cutoff_hit -> (false, Budget.Curtailed_lambda)
-    | exception Budget_hit ->
-      ( false,
-        match Budget.exhausted budget with
-        | Some s -> s
-        | None -> Budget.Curtailed_lambda )
+  let complete =
+    match go 0 with () -> true | exception Cutoff_hit -> false
   in
-  match !best with
-  | Some best -> { best; schedules_tried = !tried; complete; status }
-  | None ->
-    (* No complete schedule reached (n = 0, or the budget tripped before
-       the first completion): fall back to evaluating the block order,
-       which is legal because block order is topological. *)
-    { best = Omega.evaluate machine dag ~order:(Omega.identity_order n);
-      schedules_tried = (if n = 0 then 1 else !tried);
-      complete;
-      status }
+  (* The cutoff is checked after a leaf, so the first leaf (the empty
+     schedule when n = 0) is always reached. *)
+  { best = Option.get !best; schedules_tried = !tried; complete }
 
 let greedy machine dag =
   let n = Dag.length dag in

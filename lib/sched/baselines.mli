@@ -15,15 +15,12 @@ open Pipesched_machine
     Calls" column; exact up to 2^53, the right magnitude beyond). *)
 val factorial_float : int -> float
 
-(** [count_legal_schedules ?cutoff ?limits dag] counts topological orders
-    of the DAG, stopping at [cutoff] (default [10_000_000]).  [`Exact n]
-    when the count completed, [`At_least m] when the [cutoff] ceiling or
-    the [limits] budget (deadline / cancellation; default
-    {!Pipesched_prelude.Budget.unlimited}) stopped it first — the paper's
-    ">9,999,000" entries. *)
+(** [count_legal_schedules ?cutoff dag] counts topological orders of the
+    DAG, stopping at [cutoff] (default [10_000_000]).  [`Exact n] when
+    the count completed, [`At_least cutoff] when the ceiling stopped it
+    first — the paper's ">9,999,000" entries. *)
 val count_legal_schedules :
   ?cutoff:int ->
-  ?limits:Pipesched_prelude.Budget.limits ->
   Dag.t ->
   [ `Exact of int | `At_least of int ]
 
@@ -31,22 +28,18 @@ val count_legal_schedules :
 type search_result = {
   best : Omega.result;
   schedules_tried : int;  (** complete schedules evaluated (Omega calls) *)
-  complete : bool;        (** false when a cutoff or budget stopped it *)
-  status : Pipesched_prelude.Budget.status;
-      (** [Complete], or which limit curtailed the enumeration
-          ([Curtailed_lambda] covers the [cutoff] ceiling too); the
-          returned [best] is a legal schedule in every case *)
+  complete : bool;
+      (** false when the cutoff stopped it; [best] is a legal schedule
+          either way *)
 }
 
-(** [legal_only_search ?cutoff ?limits machine dag] evaluates {e every}
-    legal order (up to [cutoff] complete schedules, default [10_000_000],
-    and within the optional wall-clock/cancellation budget [limits]) and
+(** [legal_only_search ?cutoff machine dag] evaluates {e every} legal
+    order (up to [cutoff] complete schedules, default [10_000_000]) and
     returns the best.  Optimal when [complete] — this is the "pruning
     illegal calls" baseline of Table 1.  Exponential: only run on small
     blocks. *)
 val legal_only_search :
   ?cutoff:int ->
-  ?limits:Pipesched_prelude.Budget.limits ->
   Machine.t ->
   Dag.t ->
   search_result

@@ -728,7 +728,7 @@ type acc = {
   mutable a_learned : int;
 }
 
-type qres = Sat of int array | Unsat | Curtailed of Budget.status
+type qres = Sat of int array | Unsat | Curtailed
 
 let run_query q budget acc ~all_insts =
   if pack_infeasible q all_insts then Unsat
@@ -751,13 +751,11 @@ let run_query q budget acc ~all_insts =
             order;
           result := Some (Sat order)
         end
+        else if Budget.exhausted budget then result := Some Curtailed
         else begin
-          match Budget.exhausted budget with
-          | Some s -> result := Some (Curtailed s)
-          | None ->
-            Budget.spend budget;
-            acc.a_decisions <- acc.a_decisions + 1;
-            decide q
+          Budget.spend budget;
+          acc.a_decisions <- acc.a_decisions + 1;
+          decide q
         end
       | confl ->
         if q.level_n = 0 then result := Some Unsat
@@ -780,10 +778,7 @@ let run_query q budget acc ~all_insts =
             backtrack q 0;
             if not (reduce_db q) then result := Some Unsat
             else if pack_infeasible q all_insts then result := Some Unsat
-            else
-              match Budget.exhausted budget with
-              | Some s -> result := Some (Curtailed s)
-              | None -> ()
+            else if Budget.exhausted budget then result := Some Curtailed
           end
         end
     done;
@@ -830,17 +825,15 @@ let root_lower_bound machine dag ~entry =
     done;
     max 0 (!span - (n - 1))
 
-let solve ?(lambda = 200_000) ?deadline_s ?cancel
-    ?(seed = List_sched.Max_distance) ?entry ?(bound = max_int) machine dag =
+let solve ?(lambda = 200_000) ?deadline_s ?(seed = List_sched.Max_distance)
+    ?entry ?(bound = max_int) machine dag =
   let n = Dag.length dag in
   let entry_v =
     match entry with Some e -> e | None -> Omega.cold_entry machine
   in
   let seed_order = List_sched.schedule seed dag in
   let initial = Omega.evaluate ?entry machine dag ~order:seed_order in
-  let budget =
-    Budget.start { Budget.calls = Some lambda; deadline_s; cancel }
-  in
+  let budget = Budget.start ~lambda ?deadline_s () in
   let acc =
     { a_decisions = 0; a_conflicts = 0; a_props = 0; a_restarts = 0;
       a_learned = 0 }
@@ -883,8 +876,8 @@ let solve ?(lambda = 200_000) ?deadline_s ?cancel
                 assert (r.Omega.nops <= target);
                 if r.Omega.nops < !best.Omega.nops then best := r;
                 if r.Omega.nops < !ub then ub := r.Omega.nops
-              | Curtailed s ->
-                status := s;
+              | Curtailed ->
+                status := budget.Budget.stopped;
                 running := false)
          end
        done

@@ -70,7 +70,8 @@ type outcome = {
 (** [solve machine dag] minimizes total NOPs over legal schedules with
     default pipeline choices.  [lambda] caps decisions + conflicts (the
     CP analogue of the paper's Ω-call budget; units differ from the
-    B&B's).  [deadline_s]/[cancel] make the solve anytime exactly like
+    B&B's), checked before each decision; a conflict is counted with no
+    check before it.  [deadline_s] makes the solve anytime exactly like
     the B&B: on expiry the best incumbent so far is returned with the
     tripping status.  [seed] picks the list-scheduler heuristic for the
     initial incumbent (default [Max_distance], matching
@@ -83,7 +84,6 @@ type outcome = {
 val solve :
   ?lambda:int ->
   ?deadline_s:float ->
-  ?cancel:Budget.token ->
   ?seed:Pipesched_sched.List_sched.heuristic ->
   ?entry:Omega.entry ->
   ?bound:int ->

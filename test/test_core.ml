@@ -116,7 +116,7 @@ let seed_choice_does_not_change_optimum =
 (* Every search entry point, pinned                                    *)
 
 (* One line per outcome: best order, pipes and NOPs, the seed's NOPs,
-   and every stats field but [elapsed_s].  The digest below was recorded
+   and every stats field.  The digest below was recorded
    before the search's inner loop was rewritten; a change that alters
    any search tree (Omega calls, memo hits, completed schedules) or any
    answer moves it. *)
@@ -275,6 +275,101 @@ let test_wide_blocks_pinned () =
     wide_blocks_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* The other budgeted searches, pinned like the entry points above:
+   cp at two lambdas, the portfolio, the windowed search and both
+   enumeration baselines, on random blocks on [simulation] and on one
+   random machine, at budgets where each finishes some runs and is
+   curtailed on others.  Every outcome field but wall time is printed:
+   cp's counters, the portfolio's winner and both sides' calls, the
+   windowed search's calls and window count, the baselines' schedule
+   counts.  Recorded before the budget code was cut down to lambda and
+   the deadline. *)
+let backends_digest = "0c61d986d4548f66d1418e0d2fa7e36e"
+
+let test_backends_pinned () =
+  let module Generator = Pipesched_synth.Generator in
+  let module Budget = Pipesched_prelude.Budget in
+  let module Cp = Pipesched_solve.Cp in
+  let buf = Buffer.create 65536 in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let result (r : Omega.result) =
+    Printf.bprintf buf "%s|%s|%d|" (ints r.Omega.order) (ints r.Omega.pipes)
+      r.Omega.nops
+  in
+  let status = Budget.status_to_string in
+  let opt = function Some v -> string_of_int v | None -> "-" in
+  let lambda lambda = { Optimal.default_options with Optimal.lambda } in
+  (* Which backends finished some run and were curtailed on another. *)
+  let finished = Hashtbl.create 8 in
+  let seen name completed = Hashtbl.replace finished (name, completed) () in
+  let study seed =
+    let rng = Rng.create seed in
+    Generator.block rng (Generator.sample_params rng)
+  in
+  let dags =
+    List.map Dag.of_block
+      (List.init 14 (fun i -> random_block (Rng.create (13_000 + i)) (6 + (3 * i)))
+      @ [ Generator.of_seed 28; study 7046; study 7209; study 8641 ])
+  in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun dag ->
+          List.iter
+            (fun lambda ->
+              let c = Cp.solve ~lambda m dag in
+              let s = c.Cp.stats in
+              result c.Cp.best;
+              result c.Cp.initial;
+              Printf.bprintf buf "%d %d %d %d %d %d %b %s %s\n" s.Cp.queries
+                s.Cp.decisions s.Cp.conflicts s.Cp.propagations s.Cp.restarts
+                s.Cp.learned s.Cp.completed (status s.Cp.status)
+                (opt s.Cp.proved);
+              seen (Printf.sprintf "cp at %d" lambda) s.Cp.completed)
+            [ 30; 1_000 ];
+          let p = Portfolio.run ~options:(lambda 1_000) m dag in
+          result p.Portfolio.best;
+          result p.Portfolio.initial;
+          Printf.bprintf buf "%s %d %d %s %s\n"
+            (match p.Portfolio.winner with
+             | Some side -> Portfolio.backend_name side
+             | None -> "-")
+            p.Portfolio.bnb.Portfolio.calls p.Portfolio.cp.Portfolio.calls
+            (opt p.Portfolio.proved) (status p.Portfolio.status);
+          seen "portfolio" (p.Portfolio.proved <> None);
+          let w = Windowed.schedule ~options:(lambda 100) ~window:4 m dag in
+          result w.Windowed.best;
+          result w.Windowed.initial;
+          Printf.bprintf buf "%d %d %d %b %s\n" w.Windowed.window
+            w.Windowed.window_count w.Windowed.omega_calls
+            w.Windowed.all_windows_completed (status w.Windowed.status);
+          seen "windowed" w.Windowed.all_windows_completed;
+          let r = Baselines.legal_only_search ~cutoff:300 m dag in
+          result r.Baselines.best;
+          Printf.bprintf buf "%d %b\n" r.Baselines.schedules_tried
+            r.Baselines.complete;
+          seen "legal-only search" r.Baselines.complete;
+          match Baselines.count_legal_schedules ~cutoff:300 dag with
+          | `Exact k ->
+            Printf.bprintf buf "exact %d\n" k;
+            seen "legal-schedule count" true
+          | `At_least k ->
+            Printf.bprintf buf "at least %d\n" k;
+            seen "legal-schedule count" false)
+        dags)
+    [ machine; Generator.random_machine (Rng.create 4_243) ];
+  List.iter
+    (fun name ->
+      check bool_t (name ^ " finished a run") true
+        (Hashtbl.mem finished (name, true));
+      check bool_t (name ^ " was curtailed on a run") true
+        (Hashtbl.mem finished (name, false)))
+    [ "cp at 30"; "cp at 1000"; "portfolio"; "windowed"; "legal-only search";
+      "legal-schedule count" ];
+  check Alcotest.string "digest of the other backends' outcomes"
+    backends_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* ------------------------------------------------------------------ *)
 (* The paper's Figure 3 block                                          *)
 
@@ -381,7 +476,7 @@ let test_deadline_anytime () =
       Optimal.lambda = max_int;
       Optimal.deadline_s = Some deadline }
   in
-  let run name f =
+  let run ?(dag = dag) name f =
     let t0 = Unix.gettimeofday () in
     let status, order = f () in
     let wall = Unix.gettimeofday () -. t0 in
@@ -401,7 +496,29 @@ let test_deadline_anytime () =
       | Error () -> Alcotest.fail "bounded search found no schedule");
   run "windowed" (fun () ->
       let w = Windowed.schedule ~options ~window:18 machine dag in
-      (w.Windowed.status, w.Windowed.best.Omega.order))
+      (w.Windowed.status, w.Windowed.best.Omega.order));
+  (* cp proves the block above within a few milliseconds, and the
+     portfolio within a few more, so the other entry points run on
+     test_scheduler's bnb-favoured block: generator seed 28 on its
+     random machine, which neither backend settles inside the deadline. *)
+  let module Generator = Pipesched_synth.Generator in
+  let dag = Dag.of_block (Generator.of_seed 28) in
+  let m28 = Generator.random_machine (Rng.create (28 * 7919)) in
+  run ~dag "schedule_multi" (fun () ->
+      let o, _ = Optimal.schedule_multi ~options m28 dag in
+      (o.Optimal.stats.Optimal.status, o.Optimal.best.Omega.order));
+  run ~dag "schedule_shared" (fun () ->
+      let o, _ = Optimal.schedule_shared ~options ~bound:max_int m28 dag in
+      (o.Optimal.stats.Optimal.status, o.Optimal.best.Omega.order));
+  run ~dag "cp" (fun () ->
+      let c =
+        Pipesched_solve.Cp.solve ~lambda:max_int ~deadline_s:deadline m28 dag
+      in
+      ( c.Pipesched_solve.Cp.stats.Pipesched_solve.Cp.status,
+        c.Pipesched_solve.Cp.best.Omega.order ));
+  run ~dag "portfolio" (fun () ->
+      let p = Portfolio.run ~options m28 dag in
+      (p.Portfolio.status, p.Portfolio.best.Omega.order))
 
 (* The determinism contract behind byte-identical deadline-free runs:
    without a deadline the searches never consult the clock. *)
@@ -415,15 +532,21 @@ let test_no_deadline_reads_no_clock () =
       let blk = random_block rng 12 in
       let dag = Dag.of_block blk in
       let o = Optimal.schedule machine dag in
-      check bool_t "elapsed not measured" true
-        (o.Optimal.stats.Optimal.elapsed_s = 0.0);
       check bool_t "status agrees with completed" true
-        (Budget.is_complete o.Optimal.stats.Optimal.status
-         = o.Optimal.stats.Optimal.completed);
+        (o.Optimal.stats.Optimal.status = Budget.Complete
+         == o.Optimal.stats.Optimal.completed);
       let w = Windowed.schedule ~window:4 machine dag in
       check bool_t "windowed status" true
-        (Budget.is_complete w.Windowed.status
-         = w.Windowed.all_windows_completed))
+        (w.Windowed.status = Budget.Complete
+         == w.Windowed.all_windows_completed);
+      (* The other budgeted entry points, each run to its end. *)
+      ignore (Optimal.schedule_multi machine dag);
+      ignore (Optimal.schedule_shared ~bound:max_int machine dag);
+      ignore (Optimal.schedule_bounded ~registers:4 machine dag);
+      ignore (Pipesched_solve.Cp.solve machine dag);
+      ignore (Portfolio.run machine dag);
+      ignore (Baselines.legal_only_search ~cutoff:1_000 machine dag);
+      ignore (Baselines.count_legal_schedules ~cutoff:1_000 dag))
 
 (* An Omega call allocates nothing: ten times the lambda on a block no
    entry point finishes (and on which each finds its last improvement
@@ -1098,10 +1221,9 @@ let shared_alone_is_schedule =
       let s, proved =
         Optimal.schedule_shared ~options:shared_options ~bound:max_int m dag
       in
-      let timeless st = { st with Optimal.elapsed_s = 0.0 } in
       s.Optimal.best = o.Optimal.best
       && s.Optimal.initial = o.Optimal.initial
-      && timeless s.Optimal.stats = timeless o.Optimal.stats
+      && s.Optimal.stats = o.Optimal.stats
       && proved
          = (if o.Optimal.stats.Optimal.completed then
               Some o.Optimal.best.Omega.nops
@@ -1136,7 +1258,8 @@ let () =
           Alcotest.test_case "entry points pinned" `Quick
             test_entry_points_pinned;
           Alcotest.test_case "wide blocks pinned" `Quick
-            test_wide_blocks_pinned ] );
+            test_wide_blocks_pinned;
+          Alcotest.test_case "backends pinned" `Quick test_backends_pinned ] );
       ( "curtailment",
         [ Alcotest.test_case "lambda stops the search" `Quick
             test_lambda_curtails;

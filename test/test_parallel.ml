@@ -91,17 +91,12 @@ module Generator = Pipesched_synth.Generator
    kinds occur. *)
 let domain_options = { Optimal.default_options with Optimal.lambda = 500 }
 
-let timeless (o : Optimal.outcome) =
-  { o with Optimal.stats = { o.Optimal.stats with Optimal.elapsed_s = 0.0 } }
-
 (* Every entry point of the search on one (machine, block). *)
 let all_entry_points m dag =
   let options = domain_options in
-  ( timeless (Optimal.schedule ~options m dag),
-    (let o, choices = Optimal.schedule_multi ~options m dag in
-     (timeless o, choices)),
-    Result.map timeless (Optimal.schedule_bounded ~options ~registers:3 m dag)
-  )
+  ( Optimal.schedule ~options m dag,
+    Optimal.schedule_multi ~options m dag,
+    Optimal.schedule_bounded ~options ~registers:3 m dag )
 
 let team_reproduces_serial =
   qtest ~count:40 "team workers reproduce the serial search"

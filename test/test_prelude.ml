@@ -401,68 +401,74 @@ let test_choose () =
 
 module Budget = Pipesched_prelude.Budget
 
-let budget ?calls ?deadline_s ?cancel () =
-  Budget.start { Budget.calls; deadline_s; cancel }
-
 let test_budget_lambda_parity () =
-  (* Checked before each spend, [calls = Some l] admits exactly [l]
-     units of work — the same accounting as the paper's lambda. *)
-  let b = budget ~calls:5 () in
+  (* Checked before each spend, [lambda = l] admits exactly [l] units of
+     work — the same accounting as the paper's lambda. *)
+  let b = Budget.start ~lambda:5 () in
   for _ = 1 to 5 do
-    check bool_t "not exhausted before the spend" true
-      (Budget.exhausted b = None);
+    check bool_t "not exhausted before the spend" false (Budget.exhausted b);
     Budget.spend b
   done;
-  check bool_t "exhausted after 5 spends" true
-    (Budget.exhausted b = Some Budget.Curtailed_lambda);
-  check int_t "spent" 5 (Budget.spent b)
+  check bool_t "exhausted after 5 spends" true (Budget.exhausted b);
+  check bool_t "by lambda" true (b.Budget.stopped = Budget.Curtailed_lambda);
+  check int_t "spent" 5 b.Budget.spent
 
-let test_budget_sticky () =
-  let tok = Budget.token () in
-  let b = budget ~calls:1 ~cancel:tok () in
-  Budget.spend b;
-  check bool_t "lambda trips first" true
-    (Budget.exhausted b = Some Budget.Curtailed_lambda);
-  (* A later cancellation does not change the recorded reason. *)
-  Budget.cancel tok;
-  check bool_t "reason is sticky" true
-    (Budget.exhausted b = Some Budget.Curtailed_lambda)
-
-let test_budget_cancellation_first () =
-  let tok = Budget.token () in
-  check bool_t "fresh token" false (Budget.is_cancelled tok);
-  Budget.cancel tok;
-  check bool_t "cancelled" true (Budget.is_cancelled tok);
-  (* Cancellation outranks an already-tripped call budget. *)
-  let b = budget ~calls:0 ~cancel:tok () in
-  check bool_t "cancellation wins" true
-    (Budget.exhausted b = Some Budget.Cancelled)
-
-let test_budget_deadline_strided_clock () =
-  let now = ref 100.0 in
+(* A fake clock at [!now] that counts its reads, installed for [f]. *)
+let with_fake_clock now f =
   let reads = ref 0 in
   Budget.set_clock (fun () ->
       incr reads;
       !now);
   Fun.protect
     ~finally:(fun () -> Budget.set_clock Unix.gettimeofday)
-    (fun () ->
-      let b = budget ~deadline_s:1.0 () in
-      check bool_t "within the deadline" true (Budget.exhausted b = None);
+    (fun () -> f reads)
+
+let test_budget_sticky () =
+  let now = ref 0.0 in
+  with_fake_clock now (fun reads ->
+      let b = Budget.start ~lambda:1 ~deadline_s:1.0 () in
+      Budget.spend b;
+      check bool_t "lambda trips first" true (Budget.exhausted b);
+      (* A deadline passing later does not change the recorded reason,
+         and the tripped budget reads no clock. *)
+      now := 5.0;
+      let r0 = !reads in
+      check bool_t "still exhausted" true (Budget.exhausted b);
+      check bool_t "reason is sticky" true
+        (b.Budget.stopped = Budget.Curtailed_lambda);
+      check int_t "no clock read once tripped" r0 !reads);
+  (* A deadline trip holds at the off-stride counts after it, which
+     [Windowed] reaches by spending its commits unchecked. *)
+  let now = ref 0.0 in
+  with_fake_clock now (fun reads ->
+      let b = Budget.start ~lambda:100 ~deadline_s:1.0 () in
+      now := 5.0;
+      check bool_t "deadline trips at 0" true (Budget.exhausted b);
+      Budget.spend b;
+      let r0 = !reads in
+      check bool_t "still exhausted off-stride" true (Budget.exhausted b);
+      check bool_t "by the deadline" true
+        (b.Budget.stopped = Budget.Curtailed_deadline);
+      check int_t "no clock read once tripped" r0 !reads)
+
+let test_budget_deadline_strided_clock () =
+  let now = ref 100.0 in
+  with_fake_clock now (fun reads ->
+      let b = Budget.start ~lambda:max_int ~deadline_s:1.0 () in
+      check bool_t "within the deadline" false (Budget.exhausted b);
       (* Off-stride spends never consult the clock. *)
       let r0 = !reads in
       for _ = 1 to Budget.check_stride - 1 do
         Budget.spend b;
-        check bool_t "still running" true (Budget.exhausted b = None)
+        check bool_t "still running" false (Budget.exhausted b)
       done;
       check int_t "no clock reads off-stride" r0 !reads;
       now := 102.0;
       Budget.spend b;
       (* spent is a stride multiple again: the expiry is noticed. *)
-      check bool_t "deadline tripped" true
-        (Budget.exhausted b = Some Budget.Curtailed_deadline);
-      check bool_t "elapsed reflects the fake clock" true
-        (Budget.elapsed_s b >= 2.0))
+      check bool_t "deadline tripped" true (Budget.exhausted b);
+      check bool_t "by the deadline" true
+        (b.Budget.stopped = Budget.Curtailed_deadline))
 
 let test_budget_no_deadline_never_reads_clock () =
   (* The determinism contract: without a deadline the clock must never
@@ -472,53 +478,83 @@ let test_budget_no_deadline_never_reads_clock () =
   Fun.protect
     ~finally:(fun () -> Budget.set_clock Unix.gettimeofday)
     (fun () ->
-      let tok = Budget.token () in
-      let b = budget ~calls:40 ~cancel:tok () in
+      check int_t "first check returns lambda" 40
+        (Budget.checkpoint (Budget.start ~lambda:40 ()) ~spent:0);
+      let b = Budget.start ~lambda:40 () in
       for _ = 1 to 64 do
         Budget.spend b;
         ignore (Budget.exhausted b)
       done;
       check bool_t "lambda still enforced" true
-        (Budget.exhausted b = Some Budget.Curtailed_lambda);
-      check bool_t "elapsed is 0.0" true (Budget.elapsed_s b = 0.0))
-
-let test_budget_unlimited () =
-  let b = Budget.start Budget.unlimited in
-  for _ = 1 to 1000 do
-    Budget.spend b
-  done;
-  check bool_t "never exhausted" true (Budget.exhausted b = None)
-
-let test_budget_expiry_unstrided_deadline () =
-  let now = ref 0.0 in
-  Budget.set_clock (fun () -> !now)
-  ;
-  Fun.protect
-    ~finally:(fun () -> Budget.set_clock Unix.gettimeofday)
-    (fun () ->
-      let b = budget ~deadline_s:1.0 () in
-      (* Move past the deadline at an off-stride spend count: [exhausted]
-         cannot see it, [expiry] must. *)
-      Budget.spend b;
-      now := 5.0;
-      check bool_t "exhausted blind off-stride" true
-        (Budget.exhausted b = None);
-      check bool_t "expiry sees the deadline" true
-        (Budget.expiry b = Some Budget.Curtailed_deadline);
-      (* And it is sticky like exhausted. *)
-      now := 0.0;
-      check bool_t "expiry sticky" true
-        (Budget.expiry b = Some Budget.Curtailed_deadline))
+        (b.Budget.stopped = Budget.Curtailed_lambda))
 
 let test_budget_expiry_lambda_only_when_tripped () =
-  (* expiry reports lambda only when the counter actually tripped. *)
-  let b = budget ~calls:5 () in
+  (* The budget reports lambda only when the counter actually tripped. *)
+  let b = Budget.start ~lambda:5 () in
   for _ = 1 to 4 do
     Budget.spend b
   done;
-  check bool_t "not yet" true (Budget.expiry b = None);
+  check bool_t "not yet" false (Budget.exhausted b);
+  check bool_t "nothing recorded" true (b.Budget.stopped = Budget.Complete);
   Budget.spend b;
-  check bool_t "tripped" true (Budget.expiry b = Some Budget.Curtailed_lambda)
+  check bool_t "tripped" true (Budget.exhausted b);
+  check bool_t "by lambda" true (b.Budget.stopped = Budget.Curtailed_lambda)
+
+let test_budget_lambda_outranks_deadline () =
+  let now = ref 10.0 in
+  with_fake_clock now (fun _ ->
+      let b = Budget.start ~lambda:32 ~deadline_s:1.0 () in
+      now := 20.0;
+      for _ = 1 to 32 do
+        Budget.spend b
+      done;
+      (* Both limits have passed at a stride multiple: lambda wins. *)
+      check bool_t "exhausted" true (Budget.exhausted b);
+      check bool_t "by lambda" true (b.Budget.stopped = Budget.Curtailed_lambda))
+
+(* A search that keeps its own count and calls [checkpoint] only at 0
+   and at the counts it returns stops at the same unit, for the same
+   reason and after the same clock reads as one that calls [exhausted]
+   before every unit. *)
+let test_budget_checkpoint_agrees () =
+  let run ~inline ~lambda ~deadline_s ~expire_at =
+    let now = ref 0.0 in
+    with_fake_clock now (fun reads ->
+        let b = Budget.start ~lambda ?deadline_s () in
+        let spent = ref 0 and next = ref 0 and stopped = ref false in
+        while not !stopped do
+          if !spent = expire_at then now := 100.0;
+          (if not inline then stopped := Budget.exhausted b
+           else if !spent >= !next then
+             match Budget.checkpoint b ~spent:!spent with
+             | n -> next := n
+             | exception Budget.Exhausted -> stopped := true);
+          if not !stopped then begin
+            incr spent;
+            if not inline then Budget.spend b
+          end
+        done;
+        (!spent, b.Budget.stopped, !reads))
+  in
+  List.iter
+    (fun (lambda, deadline_s, expire_at) ->
+      let ((spent, _, reads) as expected) =
+        run ~inline:false ~lambda ~deadline_s ~expire_at
+      in
+      let got = run ~inline:true ~lambda ~deadline_s ~expire_at in
+      let what =
+        Printf.sprintf "lambda %d, deadline %b, clock past it at %d" lambda
+          (deadline_s <> None) expire_at
+      in
+      check bool_t what true (got = expected);
+      check bool_t (what ^ ": stops at a stride multiple or lambda") true
+        (spent = lambda || spent land (Budget.check_stride - 1) = 0);
+      if deadline_s = None then check int_t (what ^ ": no clock") 0 reads)
+    [ (0, None, max_int); (5, None, max_int); (100, None, 3);
+      (0, Some 1.0, 0); (31, Some 1.0, max_int); (32, Some 1.0, 32);
+      (100, Some 1.0, max_int); (100, Some 1.0, 0); (100, Some 1.0, 1);
+      (100, Some 1.0, 33); (100, Some 1.0, 64); (100, Some 1.0, 97);
+      (1_000, Some 1.0, 500) ]
 
 (* ------------------------------------------------------------------ *)
 (* Lru                                                                 *)
@@ -910,17 +946,16 @@ let () =
       ( "budget",
         [ Alcotest.test_case "lambda parity" `Quick test_budget_lambda_parity;
           Alcotest.test_case "sticky reason" `Quick test_budget_sticky;
-          Alcotest.test_case "cancellation outranks" `Quick
-            test_budget_cancellation_first;
           Alcotest.test_case "strided deadline clock" `Quick
             test_budget_deadline_strided_clock;
           Alcotest.test_case "no deadline, no clock" `Quick
             test_budget_no_deadline_never_reads_clock;
-          Alcotest.test_case "unlimited" `Quick test_budget_unlimited;
-          Alcotest.test_case "expiry unstrided deadline" `Quick
-            test_budget_expiry_unstrided_deadline;
           Alcotest.test_case "expiry lambda only when tripped" `Quick
-            test_budget_expiry_lambda_only_when_tripped ] );
+            test_budget_expiry_lambda_only_when_tripped;
+          Alcotest.test_case "lambda outranks the deadline" `Quick
+            test_budget_lambda_outranks_deadline;
+          Alcotest.test_case "checkpoint agrees with exhausted" `Quick
+            test_budget_checkpoint_agrees ] );
       ( "lru",
         [ Alcotest.test_case "capacity bound" `Quick test_lru_capacity_bound;
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;

@@ -174,7 +174,7 @@ let each_exact_backend_is_needed () =
     (run "portfolio" ~lambda:2_000_000 m28 seed28)
 
 (* ------------------------------------------------------------------ *)
-(* Anytime behavior: tiny budgets and pre-cancelled tokens             *)
+(* Anytime behavior: tiny budgets                                      *)
 
 let anytime_under_tiny_lambda =
   qtest ~count:80 "a starved budget still yields a legal incumbent"
@@ -188,24 +188,6 @@ let anytime_under_tiny_lambda =
           || o.Scheduler.status = Budget.Curtailed_lambda)
           && (o.Scheduler.status = Budget.Complete || not o.Scheduler.completed)
           && all_clean (name ^ " starved best")
-               (Certify.check machine blk o.Scheduler.best))
-        exact)
-
-let anytime_under_cancellation =
-  qtest ~count:50 "a pre-cancelled token stops the search, legally"
-    (block_gen ~min_size:2 ~max_size:8 ()) block_print
-    (fun blk ->
-      List.for_all
-        (fun name ->
-          let t = Budget.token () in
-          Budget.cancel t;
-          let options =
-            { Optimal.default_options with Optimal.cancel = Some t }
-          in
-          let o = schedule ~options ~name blk in
-          (o.Scheduler.status = Budget.Cancelled
-          || o.Scheduler.status = Budget.Complete)
-          && all_clean (name ^ " cancelled best")
                (Certify.check machine blk o.Scheduler.best))
         exact)
 
@@ -272,7 +254,7 @@ let () =
           Alcotest.test_case "each exact backend is needed" `Quick
             each_exact_backend_is_needed ] );
       ( "anytime",
-        [ anytime_under_tiny_lambda; anytime_under_cancellation;
+        [ anytime_under_tiny_lambda;
           Alcotest.test_case "the portfolio's rounds add at most lambda/3"
             `Quick portfolio_rounds_bounded ] );
       ("determinism", [ deterministic_schedules; portfolio_deterministic_value ])
